@@ -90,13 +90,8 @@ def make_gabor_system(window, hop: int, bins: int, signal_len: int) -> GaborSyst
     return GaborSystem(window=w, hop=hop, bins=bins, frames=frames, signal_len=signal_len)
 
 
-def flat_index(sys: GaborSystem, t: int, nu: int) -> int:
-    """Canonical cell flattening k = t * bins + nu, shared by all modules."""
-    return t * sys.bins + nu
-
-
 def flatten_grid(grid: np.ndarray) -> np.ndarray:
-    """Flatten a bins-by-frames grid to a vector in canonical cell order."""
+    """Flatten a bins-by-frames grid to a vector in canonical cell order k = t * bins + nu."""
     return np.ravel(grid, order="F")
 
 

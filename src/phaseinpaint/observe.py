@@ -37,6 +37,8 @@ class Observations:
         shape = (system.bins, system.frames)
         if coeffs.shape != shape:
             raise ValueError(f"coefficients must have shape {shape}, got {coeffs.shape}")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("coefficients must be finite")
         if mask.shape != shape:
             raise ValueError(f"mask must have shape {shape}, got {mask.shape}")
         if not np.all((mask == 0) | (mask == 1)):
@@ -47,6 +49,8 @@ class Observations:
             magnitudes = np.asarray(magnitudes, dtype=float)
             if magnitudes.shape != shape:
                 raise ValueError(f"magnitudes must have shape {shape}, got {magnitudes.shape}")
+            if not np.all(np.isfinite(magnitudes)):
+                raise ValueError("magnitudes must be finite")
             if np.any(magnitudes < 0.0):
                 raise ValueError("magnitudes must be nonnegative")
             on_support = mask == 1
@@ -120,7 +124,9 @@ def load_observations(directory) -> Observations:
     """Load observations written by :func:`save_observations`.
 
     The loaded object carries no information beyond what a solver is allowed
-    to see: off-mask coefficients come back as zeros.
+    to see: off-mask coefficients come back as zeros. Raises ValueError when
+    a ``b.csv`` index is not an integer, lies outside the grid, repeats or
+    names a cell where ``mask.csv`` is 0.
     """
     directory = Path(directory)
     sys_desc = json.loads((directory / "sys.json").read_text())
@@ -133,9 +139,24 @@ def load_observations(directory) -> Observations:
     magnitudes = np.loadtxt(directory / "r.csv", delimiter=",", ndmin=2)
     mask = load_mask_csv(directory / "mask.csv")
     coeffs_flat = np.zeros(system.n_cells, dtype=complex)
+    indices: set[int] = set()
     text = (directory / "b.csv").read_text().strip().splitlines()
     for line in text[1:]:
         k_str, re_str, im_str = line.split(",")
-        coeffs_flat[int(k_str)] = float(re_str) + 1j * float(im_str)
+        try:
+            k = int(k_str)
+        except ValueError:
+            raise ValueError(f"b.csv index {k_str!r} is not an integer") from None
+        if not 0 <= k < system.n_cells:
+            raise ValueError(f"b.csv index {k} is outside [0, {system.n_cells})")
+        if k in indices:
+            raise ValueError(f"b.csv index {k} repeats")
+        indices.add(k)
+        coeffs_flat[k] = float(re_str) + 1j * float(im_str)
     coeffs = unflatten_grid(system, coeffs_flat)
-    return Observations(system, coeffs, mask, magnitudes=magnitudes)
+    obs = Observations(system, coeffs, mask, magnitudes=magnitudes)
+    mask_flat = flatten_grid(obs.mask)
+    off_mask = sorted(k for k in indices if mask_flat[k] == 0)
+    if off_mask:
+        raise ValueError(f"b.csv index {off_mask[0]} lies on a cell where mask.csv is 0")
+    return obs

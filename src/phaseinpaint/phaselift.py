@@ -7,6 +7,18 @@ the trace of L is driven down by a continuation of penalty weights. The
 solver is a projected first-order method: data-fit descent steps alternated
 with exact projection onto the PSD cone (eigendecomposition, negative
 eigenvalues clipped).
+
+Each step does one dense Hermitian eigendecomposition and no dense product
+M L. The projection keeps only the positive eigenpairs and returns the thin
+factor F = V+ sqrt(lambda+) (n x r) of the candidate F F^H, which is low rank
+after the first few steps. The candidate's constraint values follow from
+M F alone, (M F F^H M^H)[i, j] = sum_k (M F)[i, k] conj((M F)[j, k]), and its
+trace is ||F||_F^2. The momentum point is an affine combination of the
+candidate and the last two incumbents, so its residual and trace are the
+same combination of theirs and need no evaluation either. Dense constraint
+evaluation runs once for the starting lift and once at the end of each
+penalty stage, where it gives ``feas_residual`` and ``converged`` as an
+independent check.
 """
 
 from __future__ import annotations
@@ -110,22 +122,45 @@ def build_constraints(obs: Observations, mode: str = "anchored") -> PliConstrain
     )
 
 
+def _row_products(cons: PliConstraints, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """sum_k A[i, k] * conj(B[j, k]) for every constraint row (i, j)."""
+    rows_i = np.concatenate([cons.pair_i, cons.diag_k])
+    rows_j = np.concatenate([cons.pair_j, cons.diag_k])
+    return np.einsum("rk,rk->r", A[rows_i], np.conj(B[rows_j]))
+
+
 def constraint_values(obs: Observations, cons: PliConstraints, L: np.ndarray) -> np.ndarray:
     """Evaluate every constraint row at a candidate lifted matrix."""
     M = atom_matrix(obs.system)
-    W = M @ L
-    rows_i = np.concatenate([cons.pair_i, cons.diag_k])
-    rows_j = np.concatenate([cons.pair_j, cons.diag_k])
-    return np.einsum("rn,rn->r", W[rows_i], np.conj(M[rows_j]))
+    return _row_products(cons, M @ L, M)
 
 
-def _psd_project(A: np.ndarray) -> np.ndarray:
-    """Exact projection onto the PSD cone via eigendecomposition."""
-    A = 0.5 * (A + A.conj().T)
-    vals, vecs = np.linalg.eigh(A)
-    vals = np.maximum(vals, 0.0)
-    out = (vecs * vals) @ vecs.conj().T
-    return 0.5 * (out + out.conj().T)
+def factor_values(obs: Observations, cons: PliConstraints, F: np.ndarray) -> np.ndarray:
+    """Evaluate every constraint row at the lifted matrix F F^H from its factor F (n x r).
+
+    Costs O(cells * n * r) against O(cells * n^2) for :func:`constraint_values`.
+    """
+    MF = atom_matrix(obs.system) @ F
+    return _row_products(cons, MF, MF)
+
+
+def _psd_factor(A: np.ndarray) -> np.ndarray:
+    """Thin factor F (n x r) of the exact PSD-cone projection F F^H of Herm(A).
+
+    Only the r positive eigenpairs are kept: F = V+ sqrt(lambda+).
+    """
+    vals, vecs = np.linalg.eigh(0.5 * (A + A.conj().T))
+    keep = vals > 0.0
+    return vecs[:, keep] * np.sqrt(vals[keep])
+
+
+def _extrapolate(new, cand, old, t_m: float, t_new: float):
+    """Momentum point new + (t_m/t_new)(cand - new) + ((t_m-1)/t_new)(new - old).
+
+    The coefficients sum to one, so the point's constraint residual and trace
+    are this same combination of those of new, cand and old.
+    """
+    return new + (t_m / t_new) * (cand - new) + ((t_m - 1.0) / t_new) * (new - old)
 
 
 def _rank_estimate(eigvals: np.ndarray, rel_tol: float = 1e-6) -> int:
@@ -174,8 +209,6 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
     rows_i = np.concatenate([cons.pair_i, cons.diag_k])
     rows_j = np.concatenate([cons.pair_j, cons.diag_k])
     targets = np.concatenate([cons.pair_target, cons.diag_target.astype(complex)])
-    M_i = np.conj(M[rows_j])  # row-wise factors for fast constraint evaluation
-    M_rows_i = rows_i
 
     beta = float(np.linalg.norm(targets))
     if beta == 0.0:
@@ -189,11 +222,6 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
     perm = order.data.astype(np.int64) - 1
     S = order.copy().astype(complex)
 
-    def value_and_residual(L: np.ndarray):
-        W = M @ L
-        vals = np.einsum("rn,rn->r", W[M_rows_i], M_i)
-        return vals - targets
-
     def fit_gradient(res: np.ndarray) -> np.ndarray:
         S.data = np.conj(res)[perm]
         G = MH @ (S @ M)
@@ -204,7 +232,10 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
     tau0 = max(sum_r2 * n / frame_weight, 1e-300)
 
     schedule = list(cfg.penalty_schedule[: cfg.max_outer])
+    # the incumbent L with its cached constraint residual and trace
     L = (tau0 / n) * np.eye(n, dtype=complex)
+    res_L = constraint_values(obs, cons, L) - targets
+    tr_L = tau0
     step = 1.0 / max(frame_weight, 1.0)
     stage_log: list[dict] = []
     rel_feas = np.inf
@@ -218,26 +249,29 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
         if stage_idx == len(schedule) and rel_feas <= cfg.feas_tol:
             break  # polish stage not needed
         t0 = time.perf_counter()
-        res = value_and_residual(L)
-        f_fit_L = float(np.vdot(res, res).real)
-        f_L = f_fit_L + mu * float(np.trace(L).real)
-        Y = L
+        f_fit_L = float(np.vdot(res_L, res_L).real)
+        f_L = f_fit_L + mu * tr_L
+        Y, res_y, tr_y = L, res_L, tr_L
         t_m = 1.0
         stall = 0
+        iterations = projections = 0
         # warm-up stages only need enough accuracy to hand over a good start
         inner_cap = cfg.max_inner if final_stage else min(cfg.max_inner, 200)
         stage_stall_rel = 1e-12 if final_stage else 1e-9
         for _ in range(inner_cap):
-            res_y = value_and_residual(Y)
-            f_y = float(np.vdot(res_y, res_y).real) + mu * float(np.trace(Y).real)
+            iterations += 1
+            f_y = float(np.vdot(res_y, res_y).real) + mu * tr_y
             grad = fit_gradient(res_y)
             grad[np.diag_indices(n)] += mu
             while True:
-                cand = _psd_project(Y - step * grad)
+                F = _psd_factor(Y - step * grad)
+                projections += 1
+                cand = F @ F.conj().T
                 delta = cand - Y
-                res_c = value_and_residual(cand)
+                res_c = factor_values(obs, cons, F) - targets
+                tr_c = float(np.vdot(F, F).real)
                 f_fit_c = float(np.vdot(res_c, res_c).real)
-                f_cand = f_fit_c + mu * float(np.trace(cand).real)
+                f_cand = f_fit_c + mu * tr_c
                 quad = (
                     f_y
                     + float(np.vdot(grad, delta).real)
@@ -251,12 +285,14 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_m * t_m))
             if f_cand < f_L:
                 gain = f_L - f_cand
-                L_new, f_L_new, f_fit_L_new = cand, f_cand, f_fit_c
+                L_new, res_new, tr_new, f_L_new, f_fit_L_new = cand, res_c, tr_c, f_cand, f_fit_c
             else:
                 gain = 0.0
-                L_new, f_L_new, f_fit_L_new = L, f_L, f_fit_L
-            Y = L_new + (t_m / t_new) * (cand - L_new) + ((t_m - 1.0) / t_new) * (L_new - L)
-            L, f_L, f_fit_L = L_new, f_L_new, f_fit_L_new
+                L_new, res_new, tr_new, f_L_new, f_fit_L_new = L, res_L, tr_L, f_L, f_fit_L
+            Y = _extrapolate(L_new, cand, L, t_m, t_new)
+            res_y = _extrapolate(res_new, res_c, res_L, t_m, t_new)
+            tr_y = _extrapolate(tr_new, tr_c, tr_L, t_m, t_new)
+            L, res_L, tr_L, f_L, f_fit_L = L_new, res_new, tr_new, f_L_new, f_fit_L_new
             t_m = t_new
             step *= 1.1
             if final_stage and np.sqrt(f_fit_L) / beta <= 0.3 * cfg.feas_tol:
@@ -267,7 +303,7 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
                     break
             else:
                 stall = 0
-        res = value_and_residual(L)
+        res = constraint_values(obs, cons, L) - targets
         rel_feas = float(np.linalg.norm(res)) / beta
         eigvals = np.linalg.eigvalsh(0.5 * (L + L.conj().T))
         stage_log.append(
@@ -277,6 +313,8 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
                 "feas_residual": rel_feas,
                 "trace": float(np.trace(L).real),
                 "rank_estimate": _rank_estimate(eigvals),
+                "iterations": iterations,
+                "projections": projections,
                 "seconds": time.perf_counter() - t0,
             }
         )

@@ -18,6 +18,7 @@ import sys
 from time import perf_counter
 
 import numpy as np
+import pytest
 
 from phaseinpaint.gabor import benchmark_system, flatten_grid, istft, stft
 from phaseinpaint.gabor import hann_window, make_gabor_system
@@ -97,6 +98,7 @@ def test_criterion_03_low_ratio_regime():
     _verdict(3, "low-ratio recovery", all(checks), detail)
 
 
+@pytest.mark.slow
 def test_criterion_04_high_ratio_regime(tmp_path):
     cfg = config_from_dict(
         dict(methods=("gli", "pli", "pci"), ratios=(0.5, 0.6), n_trials=5)
@@ -119,6 +121,7 @@ def test_criterion_04_high_ratio_regime(tmp_path):
     _verdict(4, "high-ratio ordering", all(checks), "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_05_hole_width_regime():
     cfg = config_from_dict(
         dict(

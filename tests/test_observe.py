@@ -63,6 +63,24 @@ class TestObserve:
         with pytest.raises(ValueError, match="mask"):
             Observations(sys_, np.zeros((32, 16), dtype=complex), np.ones((16, 32)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_coefficients_rejected(self, benchmark_obs, bad):
+        _, obs = benchmark_obs
+        coeffs = obs.known.copy()
+        coeffs[3, 5] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            Observations(obs.system, coeffs, obs.mask)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_magnitudes_rejected(self, benchmark_obs, bad):
+        # a missing cell, where no coefficient cross-checks the magnitude
+        _, obs = benchmark_obs
+        magnitudes = obs.magnitudes.copy()
+        missing = np.argwhere(obs.mask == 0)[0]
+        magnitudes[tuple(missing)] = bad
+        with pytest.raises(ValueError, match="magnitudes must be finite"):
+            Observations(obs.system, obs.known, obs.mask, magnitudes=magnitudes)
+
 
 class TestRpiFill:
     def test_all_ones_mask_returns_known_exactly(self):

@@ -10,13 +10,31 @@ from phaseinpaint.observe import observe
 from phaseinpaint.phaselift import (
     LiftedMatrix,
     PliConfig,
+    _extrapolate,
+    _psd_factor,
     build_constraints,
     constraint_values,
     extract_signal,
+    factor_values,
     pli_solve,
     write_stage_log,
 )
 from phaseinpaint.signals import benchmark_signal
+
+
+def _dense_psd_project(A: np.ndarray) -> np.ndarray:
+    """Reference: exact projection onto the PSD cone, all eigenpairs kept."""
+    A = 0.5 * (A + A.conj().T)
+    vals, vecs = np.linalg.eigh(A)
+    vals = np.maximum(vals, 0.0)
+    out = (vecs * vals) @ vecs.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
+def _hermitian_with_spectrum(rng, eigvals):
+    n = len(eigvals)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (Q * np.asarray(eigvals, dtype=float)) @ Q.conj().T
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +106,67 @@ class TestBuildConstraints:
             build_constraints(obs, "diagonal")
 
 
+class TestPsdFactor:
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            lambda rng, n: rng.standard_normal(n),  # mixed signs
+            lambda rng, n: -rng.uniform(0.1, 2.0, n),  # all negative: r = 0
+            lambda rng, n: rng.uniform(0.1, 2.0, n),  # full rank
+            lambda rng, n: np.r_[rng.uniform(1.0, 2.0, 3), -rng.uniform(0.1, 2.0, n - 3)],
+            lambda rng, n: np.geomspace(1e-9, 1.0, n) * rng.choice([-1.0, 1.0], n),
+        ],
+        ids=["mixed", "negative", "full-rank", "rank-three", "wide-range"],
+    )
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_factor_matches_dense_projection(self, spectrum, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            eigvals = spectrum(rng, n)
+            A = _hermitian_with_spectrum(rng, eigvals)
+            # a non-Hermitian perturbation, removed by both projections
+            A = A + 1e-3 * np.triu(rng.standard_normal((n, n)), 1)
+            F = _psd_factor(A)
+            ref = _dense_psd_project(A)
+            assert F.shape == (n, np.count_nonzero(np.linalg.eigvalsh(0.5 * (A + A.conj().T)) > 0))
+            assert np.linalg.norm(F @ F.conj().T - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_all_negative_gives_empty_factor(self):
+        A = _hermitian_with_spectrum(np.random.default_rng(0), -np.arange(1.0, 9.0))
+        F = _psd_factor(A)
+        assert F.shape == (8, 0)
+        assert not np.any(F @ F.conj().T)
+
+
+class TestFactorResiduals:
+    def test_factor_values_match_dense(self, medium_instance):
+        _, obs = medium_instance
+        cons = build_constraints(obs, "anchored")
+        rng = np.random.default_rng(2)
+        for r in (0, 1, 5, 32):
+            F = rng.standard_normal((32, r)) + 1j * rng.standard_normal((32, r))
+            dense = constraint_values(obs, cons, F @ F.conj().T)
+            err = np.linalg.norm(factor_values(obs, cons, F) - dense)
+            assert err <= 1e-10 * np.linalg.norm(dense)
+
+    def test_extrapolated_residual_by_linearity(self, medium_instance):
+        _, obs = medium_instance
+        cons = build_constraints(obs, "full")
+        targets = np.concatenate([cons.pair_target, cons.diag_target.astype(complex)])
+        rng = np.random.default_rng(4)
+        factors = [rng.standard_normal((32, r)) + 1j * rng.standard_normal((32, r)) for r in (3, 2, 6)]
+        lifts = [F @ F.conj().T for F in factors]
+        residuals = [factor_values(obs, cons, F) - targets for F in factors]
+        traces = [float(np.vdot(F, F).real) for F in factors]
+        for t_m in (1.0, 2.5, 40.0):
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_m * t_m))
+            Y = _extrapolate(*lifts, t_m, t_new)
+            dense = constraint_values(obs, cons, Y)
+            by_linearity = _extrapolate(*residuals, t_m, t_new) + targets
+            assert np.linalg.norm(by_linearity - dense) <= 1e-10 * np.linalg.norm(dense)
+            assert _extrapolate(*traces, t_m, t_new) == pytest.approx(np.trace(Y).real, rel=1e-12)
+
+
 class TestPliSolve:
     def test_tiny_full_mode_recovers(self, tiny_instance):
         x, obs = tiny_instance
@@ -144,9 +223,20 @@ class TestPliSolve:
 
         entries = json.loads(path.read_text())
         assert len(entries) >= 1
-        assert {"stage", "lambda", "feas_residual", "trace", "rank_estimate", "seconds"} <= set(
-            entries[0]
-        )
+        keys = {
+            "stage",
+            "lambda",
+            "feas_residual",
+            "trace",
+            "rank_estimate",
+            "iterations",
+            "projections",
+            "seconds",
+        }
+        assert keys <= set(entries[0])
+        for entry in entries:
+            # every step projects at least once, more when it backtracks
+            assert 1 <= entry["iterations"] <= entry["projections"]
 
 
 class TestExtractSignal:

@@ -266,6 +266,33 @@ class TestCli:
     def test_solve_missing_dir_exits_two(self, tmp_path):
         assert main(["solve", "--obs", str(tmp_path / "none"), "--method", "gli"]) == 2
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("9999,1,0", "outside"),
+            ("-1,1,0", "outside"),
+            ("1.5,1,0", "not an integer"),
+            ("abc,1,0", "not an integer"),
+            ("repeat", "repeats"),
+            ("off-mask", "mask.csv is 0"),
+        ],
+    )
+    def test_solve_bad_known_index_exits_two(self, tmp_path, capsys, row, message):
+        sys_ = benchmark_system()
+        obs = observe(sys_, benchmark_signal(seed=3), random_mask(32, 16, 0.2, seed=3))
+        save_observations(obs, tmp_path / "obs")
+        b_csv = tmp_path / "obs" / "b.csv"
+        lines = b_csv.read_text().splitlines()
+        if row == "repeat":
+            row = lines[1]
+        elif row == "off-mask":
+            row = f"{obs.missing_flat_indices()[0]},0,0"
+        b_csv.write_text("\n".join(lines + [row]) + "\n")
+        assert main(["solve", "--obs", str(tmp_path / "obs"), "--method", "gli"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert message in err
+
     def test_module_invocation(self, tmp_path):
         # exercised through a subprocess to mirror the shipped console script
         cfg_path = self.write_config(tmp_path, ratios=[0.1], n_trials=1)
