@@ -32,6 +32,7 @@ class GliResult:
     x_hat: np.ndarray
     iterations_run: int
     residual_trace: np.ndarray
+    converged: bool  # the residual plateau stopped the loop, not the n_iter budget
 
 
 def clamp(z: np.ndarray, obs: Observations) -> np.ndarray:
@@ -64,6 +65,7 @@ def gli_run(obs: Observations, cfg: GliConfig = GliConfig()) -> GliResult:
     trace: list[float] = []
     prev_res = None
     iterations = 0
+    converged = False
     for i in range(1, cfg.n_iter + 1):
         z = consistency_projection(system, y)
         y = clamp(z, obs)
@@ -72,12 +74,14 @@ def gli_run(obs: Observations, cfg: GliConfig = GliConfig()) -> GliResult:
         if cfg.record_trace:
             trace.append(res)
         if prev_res is not None and abs(prev_res - res) < cfg.residual_tol:
+            converged = True
             break
         prev_res = res
     return GliResult(
         x_hat=istft(system, y),
         iterations_run=iterations,
         residual_trace=np.asarray(trace),
+        converged=converged,
     )
 
 

@@ -3,22 +3,15 @@
 The unknown signal x is replaced by the Hermitian PSD matrix L = x x^H.
 Magnitude-only cells give linear constraints on the diagonal of M L M^H,
 phase-known cells give linear constraints on its off-diagonal entries, and
-the trace of L is driven down by a continuation of penalty weights. The
-solver is a projected first-order method: data-fit descent steps alternated
-with exact projection onto the PSD cone (eigendecomposition, negative
-eigenvalues clipped).
+the trace of L is driven down by a continuation of penalty weights.
 
-Each step does one dense Hermitian eigendecomposition and no dense product
-M L. The projection keeps only the positive eigenpairs and returns the thin
-factor F = V+ sqrt(lambda+) (n x r) of the candidate F F^H, which is low rank
-after the first few steps. The candidate's constraint values follow from
-M F alone, (M F F^H M^H)[i, j] = sum_k (M F)[i, k] conj((M F)[j, k]), and its
-trace is ||F||_F^2. The momentum point is an affine combination of the
-candidate and the last two incumbents, so its residual and trace are the
-same combination of theirs and need no evaluation either. Dense constraint
-evaluation runs once for the starting lift and once at the end of each
-penalty stage, where it gives ``feas_residual`` and ``converged`` as an
-independent check.
+The solver descends on a thin factor V (n x r) of L = V V^H (Burer &
+Monteiro 2003): L is PSD by construction, trace(L) = ||V||_F^2, and the
+constraint values and the gradient need only M V, so a step costs
+O(cells * n * r) and forms no n x n matrix. The warm-up stages use r = 4;
+the last penalty stage and the polish stage keep the leading singular
+direction of V (r = 1). The dense lift V V^H is formed once per stage, for an
+independent check that gives ``feas_residual`` and ``converged``.
 """
 
 from __future__ import annotations
@@ -26,6 +19,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,6 +28,9 @@ from .gabor import atom_matrix, flatten_grid, istft
 from .observe import Observations
 
 _DEFAULT_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+_WARM_RANK = 4  # columns of V in the warm-up penalty stages
+_FINAL_RANK = 1  # columns of V in the last penalty stage and the polish stage
+_INIT_SEED = 0x1F7  # seed of the orthonormal starting factor
 
 
 @dataclass(frozen=True)
@@ -43,7 +40,6 @@ class PliConfig:
     max_inner: int = 500
     penalty_schedule: tuple[float, ...] = _DEFAULT_SCHEDULE
     feas_tol: float = 1e-6
-    obj_tol: float = 1e-8
     polish: bool = True  # extra zero-penalty stage if feasibility is not met
 
 
@@ -66,6 +62,16 @@ class PliConstraints:
     @property
     def n_rows(self) -> int:
         return self.pair_i.size + self.diag_k.size
+
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j) cells of every row: the pair rows, then the diagonal rows."""
+        return np.r_[self.pair_i, self.diag_k], np.r_[self.pair_j, self.diag_k]
+
+    @cached_property
+    def targets(self) -> np.ndarray:
+        """Target value of every row, in the order of :attr:`rows`."""
+        return np.concatenate([self.pair_target, self.diag_target.astype(complex)])
 
 
 @dataclass
@@ -124,9 +130,7 @@ def build_constraints(obs: Observations, mode: str = "anchored") -> PliConstrain
 
 def _row_products(cons: PliConstraints, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """sum_k A[i, k] * conj(B[j, k]) for every constraint row (i, j)."""
-    rows_i = np.concatenate([cons.pair_i, cons.diag_k])
-    rows_j = np.concatenate([cons.pair_j, cons.diag_k])
-    return np.einsum("rk,rk->r", A[rows_i], np.conj(B[rows_j]))
+    return np.einsum("rk,rk->r", A[cons.rows[0]], np.conj(B[cons.rows[1]]))
 
 
 def constraint_values(obs: Observations, cons: PliConstraints, L: np.ndarray) -> np.ndarray:
@@ -144,23 +148,34 @@ def factor_values(obs: Observations, cons: PliConstraints, F: np.ndarray) -> np.
     return _row_products(cons, MF, MF)
 
 
-def _psd_factor(A: np.ndarray) -> np.ndarray:
-    """Thin factor F (n x r) of the exact PSD-cone projection F F^H of Herm(A).
+def _factor_gradient(obs: Observations, cons: PliConstraints):
+    """``grad(V, res, mu)``: the gradient in V of ``||res||^2 + mu * ||V||_F^2``.
 
-    Only the r positive eigenpairs are kept: F = V+ sqrt(lambda+).
+    ``res`` is the constraint residual at V. The gradient 2 (M^H S M +
+    M^H S^H M + mu I) V costs O(cells * n * r); the sparse scatter matrix S
+    holds conj(res) at (j, i) for every constraint row (i, j).
     """
-    vals, vecs = np.linalg.eigh(0.5 * (A + A.conj().T))
-    keep = vals > 0.0
-    return vecs[:, keep] * np.sqrt(vals[keep])
+    M = atom_matrix(obs.system)
+    MH = np.ascontiguousarray(M.conj().T)
+    rows_i, rows_j = cons.rows
 
+    def scatter(rows: np.ndarray, cols: np.ndarray):
+        # one entry per constraint row, and the row each stored value belongs to
+        order = sp.csr_matrix(
+            (np.arange(rows.size) + 1.0, (rows, cols)), shape=(obs.system.n_cells,) * 2
+        )
+        return order.astype(complex), order.data.astype(np.int64) - 1
 
-def _extrapolate(new, cand, old, t_m: float, t_new: float):
-    """Momentum point new + (t_m/t_new)(cand - new) + ((t_m-1)/t_new)(new - old).
+    S, perm = scatter(rows_j, rows_i)
+    S_adj, perm_adj = scatter(rows_i, rows_j)  # S^H, kept apart so no call transposes
 
-    The coefficients sum to one, so the point's constraint residual and trace
-    are this same combination of those of new, cand and old.
-    """
-    return new + (t_m / t_new) * (cand - new) + ((t_m - 1.0) / t_new) * (new - old)
+    def grad(V: np.ndarray, res: np.ndarray, mu: float) -> np.ndarray:
+        S.data = np.conj(res)[perm]
+        S_adj.data = res[perm_adj]
+        MV = M @ V
+        return 2.0 * (MH @ (S @ MV + S_adj @ MV) + mu * V)
+
+    return grad
 
 
 def _rank_estimate(eigvals: np.ndarray, rel_tol: float = 1e-6) -> int:
@@ -173,70 +188,52 @@ def _rank_estimate(eigvals: np.ndarray, rel_tol: float = 1e-6) -> int:
 def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
     """Minimize the trace over the PSD matrices matching the observations.
 
-    Runs projected (accelerated) gradient descent on
-    ``||A(L) - targets||^2 + mu * trace(L)`` for a decreasing schedule of
-    penalty weights, warm-starting each stage from the previous one. On
+    Runs accelerated gradient descent on the factor V of L = V V^H for
+    ``||A(V V^H) - targets||^2 + mu * ||V||_F^2`` over a decreasing schedule
+    of penalty weights, warm-starting each stage from the previous one. On
     return the constraint residual, trace and rank diagnostics are attached;
     ``converged`` is False if the feasibility tolerance was not reached.
     """
     system = obs.system
     n = system.signal_len
+    cons = build_constraints(obs, cfg.constraint_mode)
+    targets = cons.targets
+    beta = float(np.linalg.norm(targets))
     if obs.n_missing == 0:
         # every phase observed: the problem is plain linear inversion and the
         # optimal lift is the rank-one outer product of the synthesized signal
         x0 = istft(system, obs.known)
         L = np.outer(x0, np.conj(x0))
-        cons = build_constraints(obs, cfg.constraint_mode)
-        res = constraint_values(obs, cons, L) - np.concatenate(
-            [cons.pair_target, cons.diag_target.astype(complex)]
-        )
-        t_norm = max(
-            float(np.linalg.norm(np.concatenate([cons.pair_target, cons.diag_target]))),
-            1e-300,
-        )
+        res = constraint_values(obs, cons, L) - targets
         return LiftedMatrix(
             values=L,
             converged=True,
-            feas_residual=float(np.linalg.norm(res)) / t_norm,
+            feas_residual=float(np.linalg.norm(res)) / max(beta, 1e-300),
             trace=float(np.trace(L).real),
             rank_estimate=1,
             eig_ratio=0.0,
         )
 
-    cons = build_constraints(obs, cfg.constraint_mode)
-    M = atom_matrix(system)
-    MH = np.ascontiguousarray(M.conj().T)
-    rows_i = np.concatenate([cons.pair_i, cons.diag_k])
-    rows_j = np.concatenate([cons.pair_j, cons.diag_k])
-    targets = np.concatenate([cons.pair_target, cons.diag_target.astype(complex)])
-
-    beta = float(np.linalg.norm(targets))
     if beta == 0.0:
         return LiftedMatrix(values=np.zeros((n, n), dtype=complex), converged=True)
 
-    # scatter matrix for the adjoint: S[rows_j, rows_i] = conj(residual)
-    order = sp.csr_matrix(
-        (np.arange(rows_i.size) + 1.0, (rows_j, rows_i)),
-        shape=(system.n_cells, system.n_cells),
-    )
-    perm = order.data.astype(np.int64) - 1
-    S = order.copy().astype(complex)
+    def residual(V: np.ndarray) -> np.ndarray:
+        return factor_values(obs, cons, V) - targets
 
-    def fit_gradient(res: np.ndarray) -> np.ndarray:
-        S.data = np.conj(res)[perm]
-        G = MH @ (S @ M)
-        return G + G.conj().T  # = 2 * Herm(M^H S M)
-
+    gradient = _factor_gradient(obs, cons)
     sum_r2 = float(np.sum(flatten_grid(obs.magnitudes) ** 2))
-    frame_weight = float(np.sum(np.abs(M) ** 2))
+    frame_weight = float(np.sum(np.abs(atom_matrix(system)) ** 2))
     tau0 = max(sum_r2 * n / frame_weight, 1e-300)
 
     schedule = list(cfg.penalty_schedule[: cfg.max_outer])
-    # the incumbent L with its cached constraint residual and trace
-    L = (tau0 / n) * np.eye(n, dtype=complex)
-    res_L = constraint_values(obs, cons, L) - targets
-    tr_L = tau0
-    step = 1.0 / max(frame_weight, 1.0)
+    # the incumbent factor with its cached constraint residual; the start is a
+    # fixed-seed orthonormal factor with trace tau0, so solves are bit-deterministic
+    rank = min(_WARM_RANK, n)
+    rng = np.random.default_rng(_INIT_SEED)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
+    V = Q * np.sqrt(tau0 / rank)
+    res_V = residual(V)
+    step = 1.0 / max(frame_weight * tau0, 1.0)
     stage_log: list[dict] = []
     rel_feas = np.inf
     stall_tol = 1e-15 * beta * beta
@@ -248,77 +245,75 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
         final_stage = stage_idx >= len(schedule) - 1
         if stage_idx == len(schedule) and rel_feas <= cfg.feas_tol:
             break  # polish stage not needed
+        if final_stage and V.shape[1] > _FINAL_RANK:
+            # keep the leading singular direction: the best rank-one lift
+            U, s, _ = np.linalg.svd(V, full_matrices=False)
+            V = U[:, :_FINAL_RANK] * s[:_FINAL_RANK]
+            res_V = residual(V)
         t0 = time.perf_counter()
-        f_fit_L = float(np.vdot(res_L, res_L).real)
-        f_L = f_fit_L + mu * tr_L
-        Y, res_y, tr_y = L, res_L, tr_L
+        f_fit_V = float(np.vdot(res_V, res_V).real)
+        f_V = f_fit_V + mu * float(np.vdot(V, V).real)
+        Y, res_y = V, res_V
         t_m = 1.0
-        stall = 0
-        iterations = projections = 0
+        stall = iterations = evaluations = 0
         # warm-up stages only need enough accuracy to hand over a good start
         inner_cap = cfg.max_inner if final_stage else min(cfg.max_inner, 200)
         stage_stall_rel = 1e-12 if final_stage else 1e-9
         for _ in range(inner_cap):
             iterations += 1
-            f_y = float(np.vdot(res_y, res_y).real) + mu * tr_y
-            grad = fit_gradient(res_y)
-            grad[np.diag_indices(n)] += mu
+            f_y = float(np.vdot(res_y, res_y).real) + mu * float(np.vdot(Y, Y).real)
+            grad = gradient(Y, res_y, mu)
+            grad_sq = float(np.vdot(grad, grad).real)
             while True:
-                F = _psd_factor(Y - step * grad)
-                projections += 1
-                cand = F @ F.conj().T
-                delta = cand - Y
-                res_c = factor_values(obs, cons, F) - targets
-                tr_c = float(np.vdot(F, F).real)
+                cand = Y - step * grad
+                evaluations += 1
+                res_c = residual(cand)
                 f_fit_c = float(np.vdot(res_c, res_c).real)
-                f_cand = f_fit_c + mu * tr_c
-                quad = (
-                    f_y
-                    + float(np.vdot(grad, delta).real)
-                    + float(np.vdot(delta, delta).real) / (2.0 * step)
-                )
-                if f_cand <= quad + 1e-12 * max(1.0, abs(f_y)) or step < 1e-30:
+                f_cand = f_fit_c + mu * float(np.vdot(cand, cand).real)
+                # against the quadratic upper bound along the step, f_y - (step/2) ||grad||^2
+                bound = f_y - 0.5 * step * grad_sq + 1e-12 * max(1.0, abs(f_y))
+                if f_cand <= bound or step < 1e-30:
                     break
                 step *= 0.5
             # monotone acceleration: keep the better of candidate and incumbent,
             # but let the extrapolation point follow the candidate
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_m * t_m))
-            if f_cand < f_L:
-                gain = f_L - f_cand
-                L_new, res_new, tr_new, f_L_new, f_fit_L_new = cand, res_c, tr_c, f_cand, f_fit_c
+            if f_cand < f_V:
+                gain = f_V - f_cand
+                V_new, res_new, f_V, f_fit_V = cand, res_c, f_cand, f_fit_c
             else:
                 gain = 0.0
-                L_new, res_new, tr_new, f_L_new, f_fit_L_new = L, res_L, tr_L, f_L, f_fit_L
-            Y = _extrapolate(L_new, cand, L, t_m, t_new)
-            res_y = _extrapolate(res_new, res_c, res_L, t_m, t_new)
-            tr_y = _extrapolate(tr_new, tr_c, tr_L, t_m, t_new)
-            L, res_L, tr_L, f_L, f_fit_L = L_new, res_new, tr_new, f_L_new, f_fit_L_new
+                V_new, res_new = V, res_V
+            Y = V_new + (t_m / t_new) * (cand - V_new) + ((t_m - 1.0) / t_new) * (V_new - V)
+            res_y = residual(Y)  # quadratic in V: no shortcut by linearity
+            V, res_V = V_new, res_new
             t_m = t_new
             step *= 1.1
-            if final_stage and np.sqrt(f_fit_L) / beta <= 0.3 * cfg.feas_tol:
+            if final_stage and np.sqrt(f_fit_V) / beta <= 0.3 * cfg.feas_tol:
                 break
-            if gain <= stall_tol + stage_stall_rel * abs(f_L):
+            if gain <= stall_tol + stage_stall_rel * abs(f_V):
                 stall += 1
                 if stall >= 5:
                     break
             else:
                 stall = 0
+        L = V @ V.conj().T
         res = constraint_values(obs, cons, L) - targets
         rel_feas = float(np.linalg.norm(res)) / beta
-        eigvals = np.linalg.eigvalsh(0.5 * (L + L.conj().T))
         stage_log.append(
             {
                 "stage": stage_idx,
-                "lambda": float(mu * tau0 / beta**2) if beta > 0 else 0.0,
+                "lambda": float(mu * tau0 / beta**2),
                 "feas_residual": rel_feas,
-                "trace": float(np.trace(L).real),
-                "rank_estimate": _rank_estimate(eigvals),
+                "trace": float(np.vdot(V, V).real),
+                "rank_estimate": _rank_estimate(np.linalg.eigvalsh(L)),
                 "iterations": iterations,
-                "projections": projections,
+                "projections": evaluations,
                 "seconds": time.perf_counter() - t0,
             }
         )
 
+    L = V @ V.conj().T
     L = 0.5 * (L + L.conj().T)
     eigvals = np.linalg.eigvalsh(L)
     top = float(eigvals[-1])

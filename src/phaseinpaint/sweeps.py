@@ -128,7 +128,7 @@ def _reconstruct(method: str, obs: Observations, trial_seed: int, cfg: Experimen
     """Run one method on one observation set; returns (x_hat, converged)."""
     if method == "gli":
         result = gli_run(obs, dataclasses.replace(cfg.gli, init_seed=trial_seed))
-        return result.x_hat, True
+        return result.x_hat, result.converged
     if method == "rpi":
         return istft(obs.system, rpi_fill(obs, seed=trial_seed)), True
     if method == "pli":

@@ -128,6 +128,18 @@ class TestGliRun:
         assert result.iterations_run < 2000
         assert error_db(x, result.x_hat).e_db <= -200.0
 
+    def test_converged_when_plateau_stops_the_loop(self):
+        _, obs = make_obs(0.1, seed=8)
+        result = gli_run(obs, GliConfig(n_iter=2000, init_seed=8))
+        assert result.converged
+        assert result.iterations_run < 2000
+
+    def test_not_converged_when_budget_runs_out(self):
+        _, obs = make_obs(0.1, seed=8)
+        result = gli_run(obs, GliConfig(n_iter=3, init_seed=8))
+        assert not result.converged
+        assert result.iterations_run == 3
+
     def test_trace_recording_toggle(self):
         _, obs = make_obs(0.3, seed=9)
         silent = gli_run(obs, GliConfig(n_iter=20, init_seed=9, record_trace=False))

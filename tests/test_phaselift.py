@@ -10,8 +10,7 @@ from phaseinpaint.observe import observe
 from phaseinpaint.phaselift import (
     LiftedMatrix,
     PliConfig,
-    _extrapolate,
-    _psd_factor,
+    _factor_gradient,
     build_constraints,
     constraint_values,
     extract_signal,
@@ -20,21 +19,6 @@ from phaseinpaint.phaselift import (
     write_stage_log,
 )
 from phaseinpaint.signals import benchmark_signal
-
-
-def _dense_psd_project(A: np.ndarray) -> np.ndarray:
-    """Reference: exact projection onto the PSD cone, all eigenpairs kept."""
-    A = 0.5 * (A + A.conj().T)
-    vals, vecs = np.linalg.eigh(A)
-    vals = np.maximum(vals, 0.0)
-    out = (vecs * vals) @ vecs.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
-def _hermitian_with_spectrum(rng, eigvals):
-    n = len(eigvals)
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return (Q * np.asarray(eigvals, dtype=float)) @ Q.conj().T
 
 
 @pytest.fixture(scope="module")
@@ -95,47 +79,14 @@ class TestBuildConstraints:
         L_true = np.outer(x, np.conj(x))
         for mode in ("full", "anchored"):
             cons = build_constraints(obs, mode)
-            targets = np.concatenate([cons.pair_target, cons.diag_target.astype(complex)])
             vals = constraint_values(obs, cons, L_true)
-            rel = np.linalg.norm(vals - targets) / np.linalg.norm(targets)
+            rel = np.linalg.norm(vals - cons.targets) / np.linalg.norm(cons.targets)
             assert rel <= 1e-9
 
     def test_unknown_mode_rejected(self, tiny_instance):
         _, obs = tiny_instance
         with pytest.raises(ValueError, match="mode"):
             build_constraints(obs, "diagonal")
-
-
-class TestPsdFactor:
-    @pytest.mark.parametrize(
-        "spectrum",
-        [
-            lambda rng, n: rng.standard_normal(n),  # mixed signs
-            lambda rng, n: -rng.uniform(0.1, 2.0, n),  # all negative: r = 0
-            lambda rng, n: rng.uniform(0.1, 2.0, n),  # full rank
-            lambda rng, n: np.r_[rng.uniform(1.0, 2.0, 3), -rng.uniform(0.1, 2.0, n - 3)],
-            lambda rng, n: np.geomspace(1e-9, 1.0, n) * rng.choice([-1.0, 1.0], n),
-        ],
-        ids=["mixed", "negative", "full-rank", "rank-three", "wide-range"],
-    )
-    @pytest.mark.parametrize("n", [8, 32])
-    def test_factor_matches_dense_projection(self, spectrum, n):
-        rng = np.random.default_rng(n)
-        for _ in range(5):
-            eigvals = spectrum(rng, n)
-            A = _hermitian_with_spectrum(rng, eigvals)
-            # a non-Hermitian perturbation, removed by both projections
-            A = A + 1e-3 * np.triu(rng.standard_normal((n, n)), 1)
-            F = _psd_factor(A)
-            ref = _dense_psd_project(A)
-            assert F.shape == (n, np.count_nonzero(np.linalg.eigvalsh(0.5 * (A + A.conj().T)) > 0))
-            assert np.linalg.norm(F @ F.conj().T - ref) <= 1e-12 * np.linalg.norm(ref)
-
-    def test_all_negative_gives_empty_factor(self):
-        A = _hermitian_with_spectrum(np.random.default_rng(0), -np.arange(1.0, 9.0))
-        F = _psd_factor(A)
-        assert F.shape == (8, 0)
-        assert not np.any(F @ F.conj().T)
 
 
 class TestFactorResiduals:
@@ -149,22 +100,25 @@ class TestFactorResiduals:
             err = np.linalg.norm(factor_values(obs, cons, F) - dense)
             assert err <= 1e-10 * np.linalg.norm(dense)
 
-    def test_extrapolated_residual_by_linearity(self, medium_instance):
+    def test_gradient_matches_central_differences(self, medium_instance):
         _, obs = medium_instance
-        cons = build_constraints(obs, "full")
-        targets = np.concatenate([cons.pair_target, cons.diag_target.astype(complex)])
         rng = np.random.default_rng(4)
-        factors = [rng.standard_normal((32, r)) + 1j * rng.standard_normal((32, r)) for r in (3, 2, 6)]
-        lifts = [F @ F.conj().T for F in factors]
-        residuals = [factor_values(obs, cons, F) - targets for F in factors]
-        traces = [float(np.vdot(F, F).real) for F in factors]
-        for t_m in (1.0, 2.5, 40.0):
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_m * t_m))
-            Y = _extrapolate(*lifts, t_m, t_new)
-            dense = constraint_values(obs, cons, Y)
-            by_linearity = _extrapolate(*residuals, t_m, t_new) + targets
-            assert np.linalg.norm(by_linearity - dense) <= 1e-10 * np.linalg.norm(dense)
-            assert _extrapolate(*traces, t_m, t_new) == pytest.approx(np.trace(Y).real, rel=1e-12)
+        V = rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3))
+        h = 1e-5
+        for mode in ("full", "anchored"):
+            cons = build_constraints(obs, mode)
+            gradient = _factor_gradient(obs, cons)
+
+            def objective(W, mu):
+                res = factor_values(obs, cons, W) - cons.targets
+                return float(np.vdot(res, res).real) + mu * float(np.vdot(W, W).real)
+
+            for mu in (0.0, 0.7):
+                G = gradient(V, factor_values(obs, cons, V) - cons.targets, mu)
+                for _ in range(3):
+                    D = rng.standard_normal(V.shape) + 1j * rng.standard_normal(V.shape)
+                    central = (objective(V + h * D, mu) - objective(V - h * D, mu)) / (2 * h)
+                    assert central == pytest.approx(float(np.vdot(G, D).real), rel=1e-7)
 
 
 class TestPliSolve:
@@ -204,6 +158,21 @@ class TestPliSolve:
         assert lifted.rank_estimate == 1
         assert lifted.eig_ratio <= 1e-3
 
+    def test_bit_deterministic(self, medium_instance):
+        _, obs = medium_instance
+        assert np.array_equal(pli_solve(obs).values, pli_solve(obs).values)
+
+    def test_high_ratio_instance_converges(self):
+        # criterion-4 trial 2 at ratio 0.6: the dense projected solver used
+        # both 500-step caps and ended unconverged at -68 dB
+        from phaseinpaint.gabor import benchmark_system
+
+        x = benchmark_signal(seed=1236)
+        obs = observe(benchmark_system(), x, random_mask(32, 16, 0.6, seed=1236))
+        lifted = pli_solve(obs)
+        assert lifted.converged
+        assert error_db(x, extract_signal(lifted, obs)).e_db <= -100.0
+
     def test_all_phases_known_is_plain_inversion(self):
         from phaseinpaint.gabor import benchmark_system
 
@@ -235,7 +204,7 @@ class TestPliSolve:
         }
         assert keys <= set(entries[0])
         for entry in entries:
-            # every step projects at least once, more when it backtracks
+            # every step evaluates at least one candidate, more when it backtracks
             assert 1 <= entry["iterations"] <= entry["projections"]
 
 

@@ -107,6 +107,14 @@ class TestRatioSweep:
         assert pci_params == {0.1}
         assert gli_params == {0.0, 0.1}
 
+    @pytest.mark.parametrize("n_iter, converged", [(3, False), (2000, True)])
+    def test_gli_converged_column(self, n_iter, converged):
+        # gli reports the residual plateau, not a constant True
+        cfg = config_from_dict(
+            dict(methods=("gli",), ratios=(0.1,), n_trials=1, gli={"n_iter": n_iter})
+        )
+        assert [r.converged for r in run_ratio_sweep(cfg)] == [converged]
+
     def test_worker_pool_matches_serial(self):
         cfg = fast_config(ratios=(0.1, 0.2))
         serial = run_ratio_sweep(cfg)
