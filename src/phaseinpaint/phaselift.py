@@ -215,7 +215,7 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
         )
 
     if beta == 0.0:
-        return LiftedMatrix(values=np.zeros((n, n), dtype=complex), converged=True)
+        return LiftedMatrix(values=np.zeros((n, n), dtype=complex), converged=True, rank_estimate=0)
 
     def residual(V: np.ndarray) -> np.ndarray:
         return factor_values(obs, cons, V) - targets

@@ -11,6 +11,7 @@ from phaseinpaint.phaselift import (
     LiftedMatrix,
     PliConfig,
     _factor_gradient,
+    _rank_estimate,
     build_constraints,
     constraint_values,
     extract_signal,
@@ -89,6 +90,26 @@ class TestBuildConstraints:
             build_constraints(obs, "diagonal")
 
 
+class TestPsdFactor:
+    def test_all_negative_gives_empty_factor(self, medium_instance):
+        _, obs = medium_instance
+        rng = np.random.default_rng(0)
+        Q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        A = (Q * -np.arange(1.0, 9.0)) @ Q.conj().T
+        assert _rank_estimate(np.linalg.eigvalsh(A)) == 0
+        # the lift of the empty factor is the zero matrix
+        cons = build_constraints(obs, "full")
+        F = np.zeros((32, 0), dtype=complex)
+        assert not np.any(factor_values(obs, cons, F))
+        assert np.array_equal(factor_values(obs, cons, F), constraint_values(obs, cons, F @ F.conj().T))
+        # all magnitudes zero: pli returns that lift and says its rank is 0
+        zero = observe(obs.system, np.zeros(32, dtype=complex), random_mask(8, 8, 0.3, seed=5))
+        lifted = pli_solve(zero)
+        assert lifted.converged
+        assert not np.any(lifted.values)
+        assert lifted.rank_estimate == 0
+
+
 class TestFactorResiduals:
     def test_factor_values_match_dense(self, medium_instance):
         _, obs = medium_instance
@@ -99,6 +120,29 @@ class TestFactorResiduals:
             dense = constraint_values(obs, cons, F @ F.conj().T)
             err = np.linalg.norm(factor_values(obs, cons, F) - dense)
             assert err <= 1e-10 * np.linalg.norm(dense)
+
+    def test_extrapolated_residual_by_linearity(self, medium_instance):
+        # the momentum point's residual is the same combination of residuals
+        # when the lifts are extrapolated, but not when their factors are, so
+        # pli evaluates it afresh at the extrapolated factor
+        _, obs = medium_instance
+        cons = build_constraints(obs, "full")
+        rng = np.random.default_rng(4)
+        factors = [rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3)) for _ in range(3)]
+        residuals = [factor_values(obs, cons, F) - cons.targets for F in factors]
+
+        def extrapolate(new, cand, old, t_m, t_new):
+            return new + (t_m / t_new) * (cand - new) + ((t_m - 1.0) / t_new) * (new - old)
+
+        for t_m in (1.0, 2.5, 40.0):
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_m * t_m))
+            Y = extrapolate(*(F @ F.conj().T for F in factors), t_m, t_new)
+            dense = constraint_values(obs, cons, Y) - cons.targets
+            by_linearity = extrapolate(*residuals, t_m, t_new)
+            assert np.linalg.norm(by_linearity - dense) <= 1e-10 * np.linalg.norm(dense)
+            V_y = extrapolate(*factors, t_m, t_new)
+            at_factor = factor_values(obs, cons, V_y) - cons.targets
+            assert np.linalg.norm(by_linearity - at_factor) >= 1e-2 * np.linalg.norm(at_factor)
 
     def test_gradient_matches_central_differences(self, medium_instance):
         _, obs = medium_instance
