@@ -39,5 +39,5 @@ U = pci_solve(gamma, obs)
 x_phase = pci_signal(obs, extract_phases(U))
 print(
     f"phase-only relaxation: {error_db(x, x_phase).e_db:7.1f} dB  "
-    f"({U.sweeps_run} sweeps, objective {U.objective:.2e})"
+    f"({U.sweeps_run} iterations, objective {U.objective:.2e})"
 )

@@ -1,4 +1,4 @@
-"""Phase-only semidefinite relaxation solved by block coordinate descent.
+"""Phase-only semidefinite relaxation solved on a thin factor of the Gram matrix.
 
 Magnitudes are split off: with c the flattened magnitudes and P the
 orthogonal projector onto realizable coefficient vectors, the matrix
@@ -6,14 +6,23 @@ Diag(c) (I - P) Diag(c) scores any unit-modulus phase vector u by how far
 c * u falls outside the realizable set. The relaxation optimizes the PSD
 Gram matrix U of the phases under a unit diagonal. Cells whose phase is
 observed are condensed into a single aggregate coordinate carrying their
-fixed relative phases, so every coordinate update keeps the standard
-closed form.
+fixed relative phases.
+
+The solver writes the reduced U as V V^H with V a d x 4 factor of unit-norm
+rows, so U is PSD with unit diagonal by construction, and runs a Riemannian
+gradient method on this product of spheres (Journee, Bach, Absil &
+Sepulchre 2010): the gradient is projected row by row onto the tangent
+space and scaled by the diagonal of the cost (a Jacobi preconditioner), a
+step is retracted by renormalizing the rows, and Barzilai-Borwein step
+sizes pass a nonmonotone Armijo test. A step costs one d x d by d x 4
+product.
 """
 
 from __future__ import annotations
 
 import csv
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,13 +31,18 @@ from .gabor import flatten_grid, range_projector, synthesis_matrix
 from .observe import Observations
 
 
+_RANK = 4  # columns of the factor V
+_INIT_SEED = 0x9C1  # seed of the random starting factor
+_DIAG_FLOOR = 1e-3  # preconditioner entries are at least this share of the largest
+_MEMORY = 10  # objectives the nonmonotone Armijo test looks back over
+_GRAD_TOL = 1e-6  # stop once the tangent gradient is this small (G has unit norm)
+
+
 @dataclass(frozen=True)
 class PciConfig:
-    max_sweeps: int = 500
-    obj_tol: float = 1e-9
-    nu: float = 1e-6
+    max_sweeps: int = 5000  # iteration budget of the descent
     zero_mag_eps: float = 1e-12
-    log_every: int = 0  # record (sweep, objective, min-eig, seconds) every k sweeps
+    log_every: int = 0  # record (iteration, objective, min-eig, seconds) every k iterations
 
 
 @dataclass(frozen=True)
@@ -74,21 +88,32 @@ class KnownBlockReduction:
 
 @dataclass
 class PhaseMatrix:
-    """BCD output: reduced Gram matrix of the phases plus diagnostics."""
+    """Solver output: thin factor of the reduced Gram matrix plus diagnostics."""
 
-    values: np.ndarray
+    factor: np.ndarray  # d x r with unit-norm rows; the Gram matrix is factor @ factor^H
     reduction: KnownBlockReduction
     converged: bool = True
     objective: float = 0.0
     objective_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    sweeps_run: int = 0
+    sweeps_run: int = 0  # descent iterations
     sweep_log: list = field(default_factory=list)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Reduced Gram matrix V V^H with its diagonal set to exactly 1."""
+        return _gram(self.factor)
 
     def expand(self) -> np.ndarray:
         """Full cell-by-cell Gram matrix (unit diagonal, fixed known block)."""
         B = self.reduction.aggregation_matrix()
         U = B @ self.values @ B.conj().T
         return 0.5 * (U + U.conj().T)
+
+
+def _gram(V: np.ndarray) -> np.ndarray:
+    U = V @ V.conj().T
+    np.fill_diagonal(U, 1.0)
+    return U
 
 
 def phase_cost_matrix(obs: Observations) -> np.ndarray:
@@ -121,150 +146,115 @@ def reduce_known_block(obs: Observations, zero_mag_eps: float = 1e-12) -> KnownB
 
 
 def _reduced_cost(gamma: np.ndarray, red: KnownBlockReduction) -> np.ndarray:
-    B = red.aggregation_matrix()
-    reduced = B.conj().T @ gamma @ B
+    """B^H gamma B for the aggregation matrix B of ``red``, read off by indexing."""
+    free, known, w = red.free_cells, red.known_cells, red.known_phases
+    f = free.size
+    reduced = np.empty((red.dim, red.dim), dtype=complex)
+    reduced[:f, :f] = gamma[np.ix_(free, free)]
+    if red.has_anchor:
+        reduced[:f, f] = gamma[np.ix_(free, known)] @ w
+        reduced[f, :f] = np.conj(w) @ gamma[np.ix_(known, free)]
+        reduced[f, f] = np.vdot(w, gamma[np.ix_(known, known)] @ w)
     return 0.5 * (reduced + reduced.conj().T)
+
+
+def _retract(V: np.ndarray) -> np.ndarray:
+    return V / np.linalg.norm(V, axis=1, keepdims=True)
+
+
+def _evaluate(G: np.ndarray, D: np.ndarray, V: np.ndarray):
+    """Objective Re tr(V^H G V), tangent gradient and search direction at V.
+
+    The gradient is the Euclidean one, 2 G V, with each row's component
+    along that row of V removed. The direction divides each row by its
+    preconditioner entry D; a row scaling keeps it in the tangent space.
+    """
+    egrad = 2.0 * (G @ V)
+    radial = np.einsum("ik,ik->i", V.conj(), egrad).real
+    g = egrad - radial[:, None] * V
+    return 0.5 * float(np.vdot(V, egrad).real), g, g / D
 
 
 def pci_solve(
     gamma: np.ndarray, obs: Observations, cfg: PciConfig = PciConfig()
 ) -> PhaseMatrix:
-    """Cyclic block coordinate descent over the reduced Gram matrix.
+    """Minimize tr(U G) over the reduced Gram matrices U = V V^H with unit diagonal.
 
-    Every coordinate update solves its row/column subproblem in closed form
-    subject to the unit diagonal and positive semidefiniteness; the strict
-    feasibility parameter ``nu`` keeps a positive Schur complement. Updates
-    that would not lower the objective are skipped, so the per-sweep
-    objective is non-increasing by construction. Starts from the all-ones
-    rank-one matrix (a neutral common phase).
+    G is the reduced cost scaled to unit Frobenius norm. Starts from a
+    fixed-seed random factor, so solves are bit-deterministic. The search
+    point may rise within the nonmonotone Armijo window; the incumbent (the
+    lowest objective so far) is what ``objective_trace`` records and what is
+    returned, so the trace is non-increasing. ``converged`` means the
+    tangent gradient fell to ``_GRAD_TOL`` or the objective reached its
+    floor within ``max_sweeps`` iterations.
     """
-    if not (0.0 < cfg.nu < 1.0):
-        raise ValueError("nu must lie strictly between 0 and 1")
     red = reduce_known_block(obs, cfg.zero_mag_eps)
-    reduced = _reduced_cost(np.asarray(gamma), red)
     d = red.dim
-    U = np.ones((d, d), dtype=complex)
-    if d == 0:
-        return PhaseMatrix(values=U, reduction=red, converged=True)
-    scale = float(np.linalg.norm(reduced, 2))
-    if scale == 0.0:
-        return PhaseMatrix(values=U, reduction=red, converged=True, objective=0.0)
+    reduced = _reduced_cost(np.asarray(gamma), red)
+    scale = float(np.linalg.norm(reduced))
+    if d == 0 or scale == 0.0:
+        return PhaseMatrix(factor=np.ones((d, 1), dtype=complex), reduction=red, converged=True)
     G = reduced / scale
+    diag = G.diagonal().real
+    D = np.maximum(diag, _DIAG_FLOOR * diag.max())[:, None]
     floor = 1e-15 * d
 
-    def objective(mat: np.ndarray) -> float:
-        return float(np.sum(mat * G.T).real)
-
-    obj = objective(U)
-    trace: list[float] = [scale * obj]
+    rng = np.random.default_rng(_INIT_SEED)
+    V = _retract(rng.standard_normal((d, _RANK)) + 1j * rng.standard_normal((d, _RANK)))
+    f, g, p = _evaluate(G, D, V)
+    best_V, best_f = V, f
+    recent = deque([f], maxlen=_MEMORY)
+    trace: list[float] = [scale * f]
     log: list[tuple] = []
-    converged = False
-    sweeps = 0
-    one_minus_nu = 1.0 - cfg.nu
+    step = 1.0
+    iterations = 0
+    converged = f <= floor or float(np.linalg.norm(g)) <= _GRAD_TOL
     t_start = time.perf_counter()
-    for sweep in range(1, cfg.max_sweeps + 1):
-        for i in range(d):
-            g = G[:, i].copy()
-            g[i] = 0.0
-            x = U @ g
-            x[i] = 0.0
-            quad = float(np.vdot(g, x).real)
-            col = U[:, i]
-            old_contrib = 2.0 * float(np.vdot(col, g).real)
-            if quad > 0.0:
-                new_col = (-np.sqrt(one_minus_nu / quad)) * x
-                new_contrib = 2.0 * float(np.vdot(new_col, g).real)
-            else:
-                new_col = np.zeros(d, dtype=complex)
-                new_contrib = 0.0
-            if new_contrib <= old_contrib:
-                U[:, i] = new_col
-                U[i, :] = np.conj(new_col)
-                U[i, i] = 1.0
-        sweeps = sweep
-        prev = obj
-        obj = objective(U)
-        trace.append(scale * obj)
-        if cfg.log_every and sweep % cfg.log_every == 0:
-            min_eig = float(np.linalg.eigvalsh(U)[0])
-            log.append((sweep, scale * obj, min_eig, time.perf_counter() - t_start))
-        if prev - obj < cfg.obj_tol * max(abs(prev), floor):
-            converged = True
-            break
-        if obj <= floor:
-            converged = True
-            break
+    while not converged and iterations < cfg.max_sweeps:
+        iterations += 1
+        slope = float(np.vdot(g, p).real)
+        f_ref = max(recent)
+        while True:
+            V_new = _retract(V - step * p)
+            f_new, g_new, p_new = _evaluate(G, D, V_new)
+            if f_new <= f_ref - 1e-4 * step * slope or step < 1e-20:
+                break
+            step *= 0.5
+        # Barzilai-Borwein step in the metric of the preconditioner
+        s, y = V_new - V, g_new - g
+        sy = float(np.vdot(s, y).real)
+        step = float(np.clip(np.vdot(s, D * s).real / sy, 1e-6, 1e6)) if sy > 0.0 else 1e6
+        V, f, g, p = V_new, f_new, g_new, p_new
+        recent.append(f)
+        if f < best_f:
+            best_V, best_f = V, f
+        trace.append(scale * best_f)
+        if cfg.log_every and iterations % cfg.log_every == 0:
+            min_eig = float(np.linalg.eigvalsh(_gram(best_V))[0])
+            log.append((iterations, scale * best_f, min_eig, time.perf_counter() - t_start))
+        converged = best_f <= floor or float(np.linalg.norm(g)) <= _GRAD_TOL
     return PhaseMatrix(
-        values=U,
+        factor=best_V,
         reduction=red,
         converged=converged,
-        objective=scale * obj,
+        objective=scale * best_f,
         objective_trace=np.asarray(trace),
-        sweeps_run=sweeps,
+        sweeps_run=iterations,
         sweep_log=log,
     )
-
-
-def bcd_full_with_fixed_entries(
-    gamma: np.ndarray, obs: Observations, cfg: PciConfig = PciConfig()
-) -> tuple[np.ndarray, float]:
-    """Reference BCD on the unreduced Gram matrix with hard-fixed entries.
-
-    Only the free coordinates are swept; the phase-known block stays pinned
-    at its fixed relative phases. Used as a small-instance cross-check of
-    the condensed formulation, not in production paths.
-    """
-    red = reduce_known_block(obs, cfg.zero_mag_eps)
-    n = red.n_cells
-    u0 = np.ones(n, dtype=complex)
-    if red.has_anchor:
-        u0[red.known_cells] = red.known_phases
-    U = np.outer(u0, np.conj(u0))
-    gamma = np.asarray(gamma)
-    scale = float(np.linalg.norm(gamma, 2))
-    if scale == 0.0:
-        return U, 0.0
-    G = gamma / scale
-    obj = float(np.sum(U * G.T).real)
-    one_minus_nu = 1.0 - cfg.nu
-    floor = 1e-15 * n
-    for _ in range(cfg.max_sweeps):
-        for i in red.free_cells:
-            g = G[:, i].copy()
-            g[i] = 0.0
-            x = U @ g
-            x[i] = 0.0
-            quad = float(np.vdot(g, x).real)
-            col = U[:, i]
-            old_contrib = 2.0 * float(np.vdot(col, g).real)
-            if quad > 0.0:
-                new_col = (-np.sqrt(one_minus_nu / quad)) * x
-                new_contrib = 2.0 * float(np.vdot(new_col, g).real)
-            else:
-                new_col = np.zeros(n, dtype=complex)
-                new_contrib = 0.0
-            if new_contrib <= old_contrib:
-                U[:, i] = new_col
-                U[i, :] = np.conj(new_col)
-                U[i, i] = 1.0
-        prev = obj
-        obj = float(np.sum(U * G.T).real)
-        if prev - obj < cfg.obj_tol * max(abs(prev), floor) or obj <= floor:
-            break
-    return U, scale * obj
 
 
 def extract_phases(U: PhaseMatrix) -> np.ndarray:
     """Unit-modulus phase estimate for every cell from the Gram matrix.
 
-    Takes the leading eigenvector, normalizes each entry to the unit circle
+    Takes the leading eigenvector of V V^H (the leading left singular vector
+    of the factor V), normalizes each entry to the unit circle
     (near-zero entries become 1), aligns the global phase to the observed
     block in least squares, then overwrites the observed cells exactly.
     """
     red = U.reduction
-    vals, vecs = np.linalg.eigh(U.values)
-    leading = vecs[:, -1]
-    full = red.expand(leading)
+    left, _, _ = np.linalg.svd(U.factor, full_matrices=False)
+    full = red.expand(left[:, 0])
     mags = np.abs(full)
     u = np.where(mags < 1e-12, 1.0 + 0j, full / np.where(mags < 1e-12, 1.0, mags))
     if red.has_anchor:
@@ -288,7 +278,7 @@ def pci_signal(obs: Observations, u: np.ndarray) -> np.ndarray:
 
 
 def write_sweep_log(U: PhaseMatrix, path) -> None:
-    """Write the optional per-sweep log as CSV."""
+    """Write the optional per-iteration log as CSV (the column keeps the name ``sweep``)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sweep", "objective", "min_eig_estimate", "seconds"])
