@@ -4,8 +4,8 @@ The package builds circular Gabor measurement systems, simulates
 observations where every magnitude but only a subset of phases is known,
 and recovers the signal with three solvers (alternating projections, a
 lifted trace-minimizing relaxation, and a phase-only relaxation solved by
-block coordinate descent) plus a random-phase baseline. A sweep harness
-benchmarks them against missing-data ratio and hole width.
+Riemannian descent on a thin factor) plus a random-phase baseline. A sweep
+harness benchmarks them against missing-data ratio and hole width.
 """
 
 from .gabor import (
