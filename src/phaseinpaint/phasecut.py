@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gabor import flatten_grid, range_projector, synthesis_matrix
+from .gabor import complement_projector, flatten_grid, synthesis_matrix
 from .observe import Observations
 
 
@@ -119,9 +119,9 @@ def _gram(V: np.ndarray) -> np.ndarray:
 def phase_cost_matrix(obs: Observations) -> np.ndarray:
     """Hermitian PSD cost: Diag(c) (I - P) Diag(c), c = flattened magnitudes."""
     c = flatten_grid(obs.magnitudes)
-    proj = range_projector(obs.system)
-    gamma = (np.eye(obs.system.n_cells) - proj) * np.outer(c, c)
-    return 0.5 * (gamma + gamma.conj().T)
+    # I - P is exactly Hermitian and outer(c, c) exactly symmetric, so the
+    # product needs no symmetrization
+    return complement_projector(obs.system) * np.outer(c, c)
 
 
 def reduce_known_block(obs: Observations, zero_mag_eps: float = 1e-12) -> KnownBlockReduction:

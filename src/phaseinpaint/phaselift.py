@@ -6,12 +6,13 @@ phase-known cells give linear constraints on its off-diagonal entries, and
 the trace of L is driven down by a continuation of penalty weights.
 
 The solver descends on a thin factor V (n x r) of L = V V^H (Burer &
-Monteiro 2003): L is PSD by construction, trace(L) = ||V||_F^2, and the
-constraint values and the gradient need only M V, so a step costs
-O(cells * n * r) and forms no n x n matrix. The warm-up stages use r = 4;
-the last penalty stage and the polish stage keep the leading singular
-direction of V (r = 1). The dense lift V V^H is formed once per stage, for an
-independent check that gives ``feas_residual`` and ``converged``.
+Monteiro 2003): L is PSD by construction and trace(L) = ||V||_F^2. Every
+factor a step holds carries its product with M, so a step costs two dense
+products (M grad and M^H W) and one sparse one, and forms no n x n matrix.
+The warm-up stages use r = 4; the last penalty stage and the polish stage
+keep the leading singular direction of V (r = 1). The dense lift V V^H is
+formed once per stage, for an independent check that gives ``feas_residual``
+and ``converged``; the rank diagnostics come from the singular values of V.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ def build_constraints(obs: Observations, mode: str = "anchored") -> PliConstrain
 
 def _row_products(cons: PliConstraints, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """sum_k A[i, k] * conj(B[j, k]) for every constraint row (i, j)."""
-    return np.einsum("rk,rk->r", A[cons.rows[0]], np.conj(B[cons.rows[1]]))
+    rows_i, rows_j = cons.rows
+    return np.einsum("rk,rk->r", A.take(rows_i, axis=0), np.conj(B.take(rows_j, axis=0)))
 
 
 def constraint_values(obs: Observations, cons: PliConstraints, L: np.ndarray) -> np.ndarray:
@@ -139,41 +141,28 @@ def constraint_values(obs: Observations, cons: PliConstraints, L: np.ndarray) ->
     return _row_products(cons, M @ L, M)
 
 
-def factor_values(obs: Observations, cons: PliConstraints, F: np.ndarray) -> np.ndarray:
-    """Evaluate every constraint row at the lifted matrix F F^H from its factor F (n x r).
-
-    Costs O(cells * n * r) against O(cells * n^2) for :func:`constraint_values`.
-    """
-    MF = atom_matrix(obs.system) @ F
-    return _row_products(cons, MF, MF)
-
-
 def _factor_gradient(obs: Observations, cons: PliConstraints):
-    """``grad(V, res, mu)``: the gradient in V of ``||res||^2 + mu * ||V||_F^2``.
+    """``grad(V, MV, res, mu)``: the gradient in V of ``||res||^2 + mu * ||V||_F^2``.
 
-    ``res`` is the constraint residual at V. The gradient 2 (M^H S M +
-    M^H S^H M + mu I) V costs O(cells * n * r); the sparse scatter matrix S
-    holds conj(res) at (j, i) for every constraint row (i, j).
+    ``MV`` is M V and ``res`` the constraint residual at V. The gradient
+    2 (M^H (S + S^H) M V + mu V) costs one sparse and one dense product: one
+    CSR matrix holds conj(res) at (j, i) and res at (i, j) for every row
+    (i, j), and keeps the two entries of a shared cell apart, unsummed.
     """
-    M = atom_matrix(obs.system)
-    MH = np.ascontiguousarray(M.conj().T)
+    MH = np.ascontiguousarray(atom_matrix(obs.system).conj().T)
+    n_cells = obs.system.n_cells
     rows_i, rows_j = cons.rows
+    rows = np.r_[rows_j, rows_i]
+    order = np.argsort(rows, kind="stable")
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n_cells))]
+    S = sp.csr_matrix(
+        (np.zeros(rows.size, dtype=complex), np.r_[rows_i, rows_j][order], indptr),
+        shape=(n_cells, n_cells),
+    )
 
-    def scatter(rows: np.ndarray, cols: np.ndarray):
-        # one entry per constraint row, and the row each stored value belongs to
-        order = sp.csr_matrix(
-            (np.arange(rows.size) + 1.0, (rows, cols)), shape=(obs.system.n_cells,) * 2
-        )
-        return order.astype(complex), order.data.astype(np.int64) - 1
-
-    S, perm = scatter(rows_j, rows_i)
-    S_adj, perm_adj = scatter(rows_i, rows_j)  # S^H, kept apart so no call transposes
-
-    def grad(V: np.ndarray, res: np.ndarray, mu: float) -> np.ndarray:
-        S.data = np.conj(res)[perm]
-        S_adj.data = res[perm_adj]
-        MV = M @ V
-        return 2.0 * (MH @ (S @ MV + S_adj @ MV) + mu * V)
+    def grad(V: np.ndarray, MV: np.ndarray, res: np.ndarray, mu: float) -> np.ndarray:
+        S.data = np.concatenate([np.conj(res), res]).take(order)
+        return 2.0 * (MH @ (S @ MV) + mu * V)
 
     return grad
 
@@ -183,6 +172,16 @@ def _rank_estimate(eigvals: np.ndarray, rel_tol: float = 1e-6) -> int:
     if top <= 0.0:
         return 0
     return int(np.count_nonzero(eigvals > rel_tol * top))
+
+
+def _momentum(new, cand, old, t_m: float, t_new: float):
+    """Extrapolation point of the accelerated step: linear in its three arguments."""
+    return new + (t_m / t_new) * (cand - new) + ((t_m - 1.0) / t_new) * (new - old)
+
+
+def _spectrum(V: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of V V^H that can be nonzero: one per column of V."""
+    return np.linalg.svd(V, compute_uv=False)[::-1] ** 2
 
 
 def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
@@ -217,22 +216,23 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
     if beta == 0.0:
         return LiftedMatrix(values=np.zeros((n, n), dtype=complex), converged=True, rank_estimate=0)
 
-    def residual(V: np.ndarray) -> np.ndarray:
-        return factor_values(obs, cons, V) - targets
+    M = atom_matrix(system)
+
+    def residual(MV: np.ndarray) -> np.ndarray:
+        return _row_products(cons, MV, MV) - targets
 
     gradient = _factor_gradient(obs, cons)
     sum_r2 = float(np.sum(flatten_grid(obs.magnitudes) ** 2))
-    frame_weight = float(np.sum(np.abs(atom_matrix(system)) ** 2))
+    frame_weight = float(np.sum(np.abs(M) ** 2))
     tau0 = max(sum_r2 * n / frame_weight, 1e-300)
 
     schedule = list(cfg.penalty_schedule[: cfg.max_outer])
-    # the incumbent factor with its cached constraint residual; the start is a
-    # fixed-seed orthonormal factor with trace tau0, so solves are bit-deterministic
+    # the start is a fixed-seed orthonormal factor with trace tau0, so solves
+    # are bit-deterministic
     rank = min(_WARM_RANK, n)
     rng = np.random.default_rng(_INIT_SEED)
     Q, _ = np.linalg.qr(rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
     V = Q * np.sqrt(tau0 / rank)
-    res_V = residual(V)
     step = 1.0 / max(frame_weight * tau0, 1.0)
     stage_log: list[dict] = []
     rel_feas = np.inf
@@ -249,11 +249,14 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
             # keep the leading singular direction: the best rank-one lift
             U, s, _ = np.linalg.svd(V, full_matrices=False)
             V = U[:, :_FINAL_RANK] * s[:_FINAL_RANK]
-            res_V = residual(V)
         t0 = time.perf_counter()
+        # the incumbent with M V and its constraint residual; within the stage
+        # M V follows V by linearity
+        MV = M @ V
+        res_V = residual(MV)
         f_fit_V = float(np.vdot(res_V, res_V).real)
         f_V = f_fit_V + mu * float(np.vdot(V, V).real)
-        Y, res_y = V, res_V
+        Y, MY, res_y = V, MV, res_V
         t_m = 1.0
         stall = iterations = evaluations = 0
         # warm-up stages only need enough accuracy to hand over a good start
@@ -262,12 +265,14 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
         for _ in range(inner_cap):
             iterations += 1
             f_y = float(np.vdot(res_y, res_y).real) + mu * float(np.vdot(Y, Y).real)
-            grad = gradient(Y, res_y, mu)
+            grad = gradient(Y, MY, res_y, mu)
+            M_grad = M @ grad
             grad_sq = float(np.vdot(grad, grad).real)
             while True:
                 cand = Y - step * grad
+                M_cand = MY - step * M_grad
                 evaluations += 1
-                res_c = residual(cand)
+                res_c = residual(M_cand)
                 f_fit_c = float(np.vdot(res_c, res_c).real)
                 f_cand = f_fit_c + mu * float(np.vdot(cand, cand).real)
                 # against the quadratic upper bound along the step, f_y - (step/2) ||grad||^2
@@ -280,13 +285,16 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_m * t_m))
             if f_cand < f_V:
                 gain = f_V - f_cand
-                V_new, res_new, f_V, f_fit_V = cand, res_c, f_cand, f_fit_c
+                V_new, MV_new, res_new, f_V, f_fit_V = cand, M_cand, res_c, f_cand, f_fit_c
             else:
                 gain = 0.0
-                V_new, res_new = V, res_V
-            Y = V_new + (t_m / t_new) * (cand - V_new) + ((t_m - 1.0) / t_new) * (V_new - V)
-            res_y = residual(Y)  # quadratic in V: no shortcut by linearity
-            V, res_V = V_new, res_new
+                V_new, MV_new, res_new = V, MV, res_V
+            # M is linear, so M Y is the same combination; the residual is
+            # quadratic in V and is evaluated afresh
+            Y = _momentum(V_new, cand, V, t_m, t_new)
+            MY = _momentum(MV_new, M_cand, MV, t_m, t_new)
+            res_y = residual(MY)
+            V, MV, res_V = V_new, MV_new, res_new
             t_m = t_new
             step *= 1.1
             if final_stage and np.sqrt(f_fit_V) / beta <= 0.3 * cfg.feas_tol:
@@ -297,8 +305,7 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
                     break
             else:
                 stall = 0
-        L = V @ V.conj().T
-        res = constraint_values(obs, cons, L) - targets
+        res = constraint_values(obs, cons, V @ V.conj().T) - targets
         rel_feas = float(np.linalg.norm(res)) / beta
         stage_log.append(
             {
@@ -306,7 +313,7 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
                 "lambda": float(mu * tau0 / beta**2),
                 "feas_residual": rel_feas,
                 "trace": float(np.vdot(V, V).real),
-                "rank_estimate": _rank_estimate(np.linalg.eigvalsh(L)),
+                "rank_estimate": _rank_estimate(_spectrum(V)),
                 "iterations": iterations,
                 "projections": evaluations,
                 "seconds": time.perf_counter() - t0,
@@ -315,9 +322,9 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
 
     L = V @ V.conj().T
     L = 0.5 * (L + L.conj().T)
-    eigvals = np.linalg.eigvalsh(L)
+    eigvals = _spectrum(V)
     top = float(eigvals[-1])
-    second = float(eigvals[-2]) if n >= 2 else 0.0
+    second = float(eigvals[-2]) if eigvals.size >= 2 else 0.0
     return LiftedMatrix(
         values=L,
         converged=bool(rel_feas <= cfg.feas_tol),

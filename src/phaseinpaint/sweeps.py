@@ -45,7 +45,6 @@ class ExperimentConfig:
     base_seed: int = 1234
     workers: int = 1
     record_timing: bool = True
-    output_dir: str | None = None
     pli_points: tuple[float, ...] | None = None  # None = run at every point
     pci_points: tuple[float, ...] | None = None
     gli: GliConfig = GliConfig()

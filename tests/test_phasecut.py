@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from phaseinpaint.gabor import benchmark_system, flatten_grid, hann_window, make_gabor_system, stft
+from phaseinpaint.gabor import (
+    benchmark_system,
+    flatten_grid,
+    hann_window,
+    make_gabor_system,
+    range_projector,
+    stft,
+)
 from phaseinpaint.masks import hole_mask, random_mask
 from phaseinpaint.metrics import error_db
 from phaseinpaint.observe import observe, rpi_fill
@@ -118,6 +125,21 @@ class TestPhaseCostMatrix:
         sys_ = tiny_system()
         obs = observe(sys_, np.zeros(8), np.ones((4, 4), dtype=int))
         assert np.all(phase_cost_matrix(obs) == 0)
+
+    @pytest.mark.parametrize("case", ["random_mask", "hole_mask", "zero_magnitudes"])
+    def test_equals_symmetrized_dense_formula(self, case):
+        # the cached I - P times outer(c, c) is already exactly Hermitian, so
+        # the cost is bit for bit the symmetrized 512 x 512 formula
+        sys_ = benchmark_system()
+        x = np.zeros(128) if case == "zero_magnitudes" else benchmark_signal(seed=2)
+        if case == "hole_mask":
+            mask = hole_mask(32, 16, 0.3, width=5, seed=2)
+        else:
+            mask = random_mask(32, 16, 0.4, seed=2)
+        obs = observe(sys_, x, mask)
+        c = flatten_grid(obs.magnitudes)
+        gamma = (np.eye(sys_.n_cells) - range_projector(sys_)) * np.outer(c, c)
+        assert np.array_equal(phase_cost_matrix(obs), 0.5 * (gamma + gamma.conj().T))
 
 
 class TestReduceKnownBlock:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from phaseinpaint.gabor import hann_window, make_gabor_system
+from phaseinpaint.gabor import atom_matrix, hann_window, make_gabor_system
 from phaseinpaint.masks import random_mask
 from phaseinpaint.metrics import error_db
 from phaseinpaint.observe import observe
@@ -11,15 +11,26 @@ from phaseinpaint.phaselift import (
     LiftedMatrix,
     PliConfig,
     _factor_gradient,
+    _momentum,
     _rank_estimate,
+    _row_products,
+    _spectrum,
     build_constraints,
     constraint_values,
     extract_signal,
-    factor_values,
     pli_solve,
     write_stage_log,
 )
 from phaseinpaint.signals import benchmark_signal
+
+
+def _factor_values(obs, cons, F):
+    """Constraint rows at the lift F F^H from its factor F (n x r), via M F.
+
+    Costs O(cells * n * r) against O(cells * n^2) for ``constraint_values``.
+    """
+    MF = atom_matrix(obs.system) @ F
+    return _row_products(cons, MF, MF)
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +111,8 @@ class TestPsdFactor:
         # the lift of the empty factor is the zero matrix
         cons = build_constraints(obs, "full")
         F = np.zeros((32, 0), dtype=complex)
-        assert not np.any(factor_values(obs, cons, F))
-        assert np.array_equal(factor_values(obs, cons, F), constraint_values(obs, cons, F @ F.conj().T))
+        assert not np.any(_factor_values(obs, cons, F))
+        assert np.array_equal(_factor_values(obs, cons, F), constraint_values(obs, cons, F @ F.conj().T))
         # all magnitudes zero: pli returns that lift and says its rank is 0
         zero = observe(obs.system, np.zeros(32, dtype=complex), random_mask(8, 8, 0.3, seed=5))
         lifted = pli_solve(zero)
@@ -118,34 +129,37 @@ class TestFactorResiduals:
         for r in (0, 1, 5, 32):
             F = rng.standard_normal((32, r)) + 1j * rng.standard_normal((32, r))
             dense = constraint_values(obs, cons, F @ F.conj().T)
-            err = np.linalg.norm(factor_values(obs, cons, F) - dense)
+            err = np.linalg.norm(_factor_values(obs, cons, F) - dense)
             assert err <= 1e-10 * np.linalg.norm(dense)
 
     def test_extrapolated_residual_by_linearity(self, medium_instance):
         # the momentum point's residual is the same combination of residuals
         # when the lifts are extrapolated, but not when their factors are, so
-        # pli evaluates it afresh at the extrapolated factor
+        # pli evaluates it afresh at the extrapolated factor; M Y, being
+        # linear in the factor, is the same combination of the M V, which is
+        # how pli carries it
         _, obs = medium_instance
+        M = atom_matrix(obs.system)
         cons = build_constraints(obs, "full")
         rng = np.random.default_rng(4)
         factors = [rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3)) for _ in range(3)]
-        residuals = [factor_values(obs, cons, F) - cons.targets for F in factors]
-
-        def extrapolate(new, cand, old, t_m, t_new):
-            return new + (t_m / t_new) * (cand - new) + ((t_m - 1.0) / t_new) * (new - old)
+        residuals = [_factor_values(obs, cons, F) - cons.targets for F in factors]
 
         for t_m in (1.0, 2.5, 40.0):
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_m * t_m))
-            Y = extrapolate(*(F @ F.conj().T for F in factors), t_m, t_new)
+            Y = _momentum(*(F @ F.conj().T for F in factors), t_m, t_new)
             dense = constraint_values(obs, cons, Y) - cons.targets
-            by_linearity = extrapolate(*residuals, t_m, t_new)
+            by_linearity = _momentum(*residuals, t_m, t_new)
             assert np.linalg.norm(by_linearity - dense) <= 1e-10 * np.linalg.norm(dense)
-            V_y = extrapolate(*factors, t_m, t_new)
-            at_factor = factor_values(obs, cons, V_y) - cons.targets
+            V_y = _momentum(*factors, t_m, t_new)
+            at_factor = _factor_values(obs, cons, V_y) - cons.targets
             assert np.linalg.norm(by_linearity - at_factor) >= 1e-2 * np.linalg.norm(at_factor)
+            MY = _momentum(*(M @ F for F in factors), t_m, t_new)
+            assert np.linalg.norm(MY - M @ V_y) <= 1e-12 * np.linalg.norm(M @ V_y)
 
     def test_gradient_matches_central_differences(self, medium_instance):
         _, obs = medium_instance
+        M = atom_matrix(obs.system)
         rng = np.random.default_rng(4)
         V = rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3))
         h = 1e-5
@@ -154,15 +168,40 @@ class TestFactorResiduals:
             gradient = _factor_gradient(obs, cons)
 
             def objective(W, mu):
-                res = factor_values(obs, cons, W) - cons.targets
+                res = _factor_values(obs, cons, W) - cons.targets
                 return float(np.vdot(res, res).real) + mu * float(np.vdot(W, W).real)
 
             for mu in (0.0, 0.7):
-                G = gradient(V, factor_values(obs, cons, V) - cons.targets, mu)
+                G = gradient(V, M @ V, _factor_values(obs, cons, V) - cons.targets, mu)
                 for _ in range(3):
                     D = rng.standard_normal(V.shape) + 1j * rng.standard_normal(V.shape)
                     central = (objective(V + h * D, mu) - objective(V - h * D, mu)) / (2 * h)
                     assert central == pytest.approx(float(np.vdot(G, D).real), rel=1e-7)
+
+    def test_merged_scatter_matches_dense_gradient(self, medium_instance):
+        # one CSR matrix for S + S^H, its shared cells kept as separate
+        # entries, against the dense 2 (M^H (S + S^H) M V + mu V)
+        _, obs = medium_instance
+        M = atom_matrix(obs.system)
+        rng = np.random.default_rng(6)
+        V = rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3))
+        for mode in ("full", "anchored"):
+            cons = build_constraints(obs, mode)
+            res = _factor_values(obs, cons, V) - cons.targets
+            rows_i, rows_j = cons.rows
+            S = np.zeros((obs.system.n_cells,) * 2, dtype=complex)
+            np.add.at(S, (rows_j, rows_i), np.conj(res))
+            gradient = _factor_gradient(obs, cons)
+            for mu in (0.0, 0.7):
+                dense = 2.0 * (M.conj().T @ ((S + S.conj().T) @ (M @ V)) + mu * V)
+                merged = gradient(V, M @ V, res, mu)
+                assert np.linalg.norm(merged - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    def test_spectrum_of_factor_matches_dense(self):
+        rng = np.random.default_rng(9)
+        V = rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3))
+        dense = np.linalg.eigvalsh(V @ V.conj().T)[-3:]
+        assert np.allclose(_spectrum(V), dense, rtol=1e-12, atol=1e-12 * dense[-1])
 
 
 class TestPliSolve:
@@ -201,6 +240,14 @@ class TestPliSolve:
         lifted = pli_solve(obs)
         assert lifted.rank_estimate == 1
         assert lifted.eig_ratio <= 1e-3
+
+    def test_rank_diagnostics_match_dense_spectrum(self, medium_instance):
+        # read off the singular values of the factor, not an n x n eigvalsh
+        _, obs = medium_instance
+        lifted = pli_solve(obs)
+        eigvals = np.linalg.eigvalsh(lifted.values)
+        assert lifted.rank_estimate == _rank_estimate(eigvals)
+        assert abs(lifted.eig_ratio - eigvals[-2] / eigvals[-1]) <= 1e-12
 
     def test_bit_deterministic(self, medium_instance):
         _, obs = medium_instance

@@ -45,6 +45,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_dict({"ratio": [0.1]})
 
+    def test_output_dir_key_rejected(self):
+        # the field was never read; the output directory is the CLI's --out
+        with pytest.raises(ValueError, match="unknown config keys"):
+            config_from_dict({"output_dir": "results"})
+
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ValueError, match="gli"):
             config_from_dict({"gli": {"iterations": 10}})
