@@ -22,7 +22,7 @@ from .gabor import (
 )
 from .griffin_lim import GliConfig, GliResult, clamp, gli_run
 from .masks import hole_mask, mask_stats, random_mask
-from .metrics import ErrorReport, error_db, error_db_grid_oracle
+from .metrics import ErrorReport, error_db
 from .observe import Observations, load_observations, observe, rpi_fill, save_observations
 from .phasecut import (
     KnownBlockReduction,
@@ -88,7 +88,6 @@ __all__ = [
     "dirac",
     "emit",
     "error_db",
-    "error_db_grid_oracle",
     "extract_phases",
     "extract_signal",
     "gli_run",

@@ -8,7 +8,6 @@ between the two projections never increases, which is asserted in tests.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +21,7 @@ _INIT_STREAM = 0x611A
 @dataclass(frozen=True)
 class GliConfig:
     n_iter: int = 2000
-    init_seed: int = 0
     residual_tol: float = 1e-12
-    record_trace: bool = True
 
 
 @dataclass(frozen=True)
@@ -48,17 +45,18 @@ def clamp(z: np.ndarray, obs: Observations) -> np.ndarray:
     return obs.magnitudes * np.exp(1j * phase)
 
 
-def gli_run(obs: Observations, cfg: GliConfig = GliConfig()) -> GliResult:
+def gli_run(obs: Observations, cfg: GliConfig = GliConfig(), seed: int = 0) -> GliResult:
     """Alternate consistency and measurement projections from a random start.
 
-    Missing phases are initialized uniformly on [0, 2 pi). The loop stops
-    early once the change of the residual ||y - z|| drops below
-    ``residual_tol``; the final (not best-residual) iterate is synthesized.
+    Missing phases are initialized uniformly on [0, 2 pi) from ``seed``, so
+    a run is deterministic given its seed. The loop stops early once the
+    change of the residual ||y - z|| drops below ``residual_tol``; the
+    final (not best-residual) iterate is synthesized.
     """
     if cfg.n_iter < 1:
         raise ValueError("n_iter must be >= 1")
     system = obs.system
-    rng = np.random.default_rng([int(cfg.init_seed), _INIT_STREAM])
+    rng = np.random.default_rng([int(seed), _INIT_STREAM])
     phi0 = rng.uniform(0.0, 2.0 * np.pi, size=obs.mask.shape)
     phase = obs.mask * np.angle(obs.known) + (1 - obs.mask) * phi0
     y = obs.magnitudes * np.exp(1j * phase)
@@ -71,8 +69,7 @@ def gli_run(obs: Observations, cfg: GliConfig = GliConfig()) -> GliResult:
         y = clamp(z, obs)
         res = float(np.linalg.norm(y - z))
         iterations = i
-        if cfg.record_trace:
-            trace.append(res)
+        trace.append(res)
         if prev_res is not None and abs(prev_res - res) < cfg.residual_tol:
             converged = True
             break
@@ -83,12 +80,3 @@ def gli_run(obs: Observations, cfg: GliConfig = GliConfig()) -> GliResult:
         residual_trace=np.asarray(trace),
         converged=converged,
     )
-
-
-def save_residual_trace(result: GliResult, path) -> None:
-    """Write the per-iteration residual as CSV (iteration, residual)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "residual"])
-        for i, res in enumerate(result.residual_trace, start=1):
-            writer.writerow([i, f"{res:.17g}"])

@@ -20,8 +20,6 @@ product.
 
 from __future__ import annotations
 
-import csv
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -36,13 +34,12 @@ _INIT_SEED = 0x9C1  # seed of the random starting factor
 _DIAG_FLOOR = 1e-3  # preconditioner entries are at least this share of the largest
 _MEMORY = 10  # objectives the nonmonotone Armijo test looks back over
 _GRAD_TOL = 1e-6  # stop once the tangent gradient is this small (G has unit norm)
+_ZERO_MAG_EPS = 1e-12  # masked cells below this share of the largest magnitude stay free
 
 
 @dataclass(frozen=True)
 class PciConfig:
     max_sweeps: int = 5000  # iteration budget of the descent
-    zero_mag_eps: float = 1e-12
-    log_every: int = 0  # record (iteration, objective, min-eig, seconds) every k iterations
 
 
 @dataclass(frozen=True)
@@ -69,14 +66,6 @@ class KnownBlockReduction:
     def dim(self) -> int:
         return self.free_cells.size + (1 if self.has_anchor else 0)
 
-    def aggregation_matrix(self) -> np.ndarray:
-        """Matrix B with one unit-modulus entry per row; u_full = B @ u_reduced."""
-        B = np.zeros((self.n_cells, self.dim), dtype=complex)
-        B[self.free_cells, np.arange(self.free_cells.size)] = 1.0
-        if self.has_anchor:
-            B[self.known_cells, -1] = self.known_phases
-        return B
-
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         """Expand a reduced phase vector back to one value per cell."""
         full = np.zeros(self.n_cells, dtype=complex)
@@ -96,24 +85,13 @@ class PhaseMatrix:
     objective: float = 0.0
     objective_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
     sweeps_run: int = 0  # descent iterations
-    sweep_log: list = field(default_factory=list)
 
     @property
     def values(self) -> np.ndarray:
         """Reduced Gram matrix V V^H with its diagonal set to exactly 1."""
-        return _gram(self.factor)
-
-    def expand(self) -> np.ndarray:
-        """Full cell-by-cell Gram matrix (unit diagonal, fixed known block)."""
-        B = self.reduction.aggregation_matrix()
-        U = B @ self.values @ B.conj().T
-        return 0.5 * (U + U.conj().T)
-
-
-def _gram(V: np.ndarray) -> np.ndarray:
-    U = V @ V.conj().T
-    np.fill_diagonal(U, 1.0)
-    return U
+        U = self.factor @ self.factor.conj().T
+        np.fill_diagonal(U, 1.0)
+        return U
 
 
 def phase_cost_matrix(obs: Observations) -> np.ndarray:
@@ -124,13 +102,13 @@ def phase_cost_matrix(obs: Observations) -> np.ndarray:
     return complement_projector(obs.system) * np.outer(c, c)
 
 
-def reduce_known_block(obs: Observations, zero_mag_eps: float = 1e-12) -> KnownBlockReduction:
+def reduce_known_block(obs: Observations) -> KnownBlockReduction:
     """Build the condensation map for the phase-known cells."""
     c = flatten_grid(obs.magnitudes)
     b = flatten_grid(obs.known)
     mask = flatten_grid(obs.mask).astype(bool)
     c_max = float(np.max(c)) if c.size else 0.0
-    usable = mask & (c > zero_mag_eps * c_max)
+    usable = mask & (c > _ZERO_MAG_EPS * c_max)
     known_cells = np.flatnonzero(usable)
     free_cells = np.flatnonzero(~usable)
     phases = np.ones(0, dtype=complex)
@@ -188,7 +166,7 @@ def pci_solve(
     tangent gradient fell to ``_GRAD_TOL`` or the objective reached its
     floor within ``max_sweeps`` iterations.
     """
-    red = reduce_known_block(obs, cfg.zero_mag_eps)
+    red = reduce_known_block(obs)
     d = red.dim
     reduced = _reduced_cost(np.asarray(gamma), red)
     scale = float(np.linalg.norm(reduced))
@@ -205,11 +183,9 @@ def pci_solve(
     best_V, best_f = V, f
     recent = deque([f], maxlen=_MEMORY)
     trace: list[float] = [scale * f]
-    log: list[tuple] = []
     step = 1.0
     iterations = 0
     converged = f <= floor or float(np.linalg.norm(g)) <= _GRAD_TOL
-    t_start = time.perf_counter()
     while not converged and iterations < cfg.max_sweeps:
         iterations += 1
         slope = float(np.vdot(g, p).real)
@@ -229,9 +205,6 @@ def pci_solve(
         if f < best_f:
             best_V, best_f = V, f
         trace.append(scale * best_f)
-        if cfg.log_every and iterations % cfg.log_every == 0:
-            min_eig = float(np.linalg.eigvalsh(_gram(best_V))[0])
-            log.append((iterations, scale * best_f, min_eig, time.perf_counter() - t_start))
         converged = best_f <= floor or float(np.linalg.norm(g)) <= _GRAD_TOL
     return PhaseMatrix(
         factor=best_V,
@@ -240,7 +213,6 @@ def pci_solve(
         objective=scale * best_f,
         objective_trace=np.asarray(trace),
         sweeps_run=iterations,
-        sweep_log=log,
     )
 
 
@@ -275,12 +247,3 @@ def pci_signal(obs: Observations, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"phase vector must have shape ({obs.system.n_cells},)")
     c = flatten_grid(obs.magnitudes)
     return synthesis_matrix(obs.system) @ (c * u)
-
-
-def write_sweep_log(U: PhaseMatrix, path) -> None:
-    """Write the optional per-iteration log as CSV (the column keeps the name ``sweep``)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sweep", "objective", "min_eig_estimate", "seconds"])
-        for row in U.sweep_log:
-            writer.writerow([row[0], f"{row[1]:.17g}", f"{row[2]:.17g}", f"{row[3]:.6f}"])

@@ -17,7 +17,6 @@ and ``converged``; the rank diagnostics come from the singular values of V.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,6 +28,7 @@ from .gabor import atom_matrix, flatten_grid, istft
 from .observe import Observations
 
 _DEFAULT_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+CONSTRAINT_MODES = ("full", "anchored")
 _WARM_RANK = 4  # columns of V in the warm-up penalty stages
 _FINAL_RANK = 1  # columns of V in the last penalty stage and the polish stage
 _INIT_SEED = 0x1F7  # seed of the orthonormal starting factor
@@ -41,7 +41,6 @@ class PliConfig:
     max_inner: int = 500
     penalty_schedule: tuple[float, ...] = _DEFAULT_SCHEDULE
     feas_tol: float = 1e-6
-    polish: bool = True  # extra zero-penalty stage if feasibility is not met
 
 
 @dataclass(frozen=True)
@@ -97,8 +96,8 @@ def build_constraints(obs: Observations, mode: str = "anchored") -> PliConstrain
     phases at a fraction of the rows. With no known cells both modes reduce
     to magnitude-only diagonal constraints.
     """
-    if mode not in ("full", "anchored"):
-        raise ValueError(f"constraint mode must be 'full' or 'anchored', got {mode!r}")
+    if mode not in CONSTRAINT_MODES:
+        raise ValueError(f"constraint mode must be one of {CONSTRAINT_MODES}, got {mode!r}")
     known = obs.known_flat_indices()
     missing = obs.missing_flat_indices()
     r_flat = flatten_grid(obs.magnitudes)
@@ -238,9 +237,8 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
     rel_feas = np.inf
     stall_tol = 1e-15 * beta * beta
 
-    stages = [lam * beta**2 / tau0 for lam in schedule]
-    if cfg.polish:
-        stages.append(0.0)
+    # a zero-penalty polish stage follows the schedule if feasibility is not met
+    stages = [lam * beta**2 / tau0 for lam in schedule] + [0.0]
     for stage_idx, mu in enumerate(stages):
         final_stage = stage_idx >= len(schedule) - 1
         if stage_idx == len(schedule) and rel_feas <= cfg.feas_tol:
@@ -357,10 +355,3 @@ def extract_signal(lifted: LiftedMatrix, obs: Observations) -> np.ndarray:
         if abs(cross) > 0.0:
             x_hat = x_hat * (np.conj(cross) / abs(cross))
     return x_hat
-
-
-def write_stage_log(lifted: LiftedMatrix, path) -> None:
-    """Dump the per-stage solver log as JSON."""
-    with open(path, "w") as fh:
-        json.dump(lifted.stage_log, fh, indent=2)
-        fh.write("\n")

@@ -1,9 +1,7 @@
 """Synthetic test signals: linear chirps, impulses, exact-SNR noise.
 
-All generators are deterministic given their seed. Frequencies are expressed
-as fractions of Nyquist by default (1.0 = half the sampling rate), isolated
-behind ``SignalSpec.freq_unit`` so the convention can be flipped to raw
-cycles-per-sample if needed.
+All generators are deterministic given their seed. Frequencies are
+fractions of Nyquist: 1.0 is half the sampling rate, 0.5 cycles per sample.
 """
 
 from __future__ import annotations
@@ -25,30 +23,19 @@ class SignalSpec:
     dirac_positions: tuple[int, ...] = ()
     snr_db: float = math.inf
     seed: int = 0
-    freq_unit: str = "nyquist"
 
 
-def _cycles_per_sample(freq: float, freq_unit: str) -> float:
-    if freq_unit == "nyquist":
-        return 0.5 * freq
-    if freq_unit == "cycles":
-        return freq
-    raise ValueError(f"unknown freq_unit {freq_unit!r}")
-
-
-def linear_chirp(
-    n_samples: int, f_start: float, f_end: float, freq_unit: str = "nyquist"
-) -> np.ndarray:
+def linear_chirp(n_samples: int, f_start: float, f_end: float) -> np.ndarray:
     """Real cosine whose instantaneous frequency ramps linearly.
 
-    The phase integral uses (n_samples - 1) in the denominator so the last
-    sample sits exactly at ``f_end``. With the default unit a frequency of
-    1.0 means Nyquist, i.e. 0.5 cycles per sample.
+    Frequencies are fractions of Nyquist (1.0 = 0.5 cycles per sample). The
+    phase integral uses (n_samples - 1) in the denominator so the last
+    sample sits exactly at ``f_end``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    a = _cycles_per_sample(f_start, freq_unit)
-    b = _cycles_per_sample(f_end, freq_unit)
+    a = 0.5 * f_start
+    b = 0.5 * f_end
     n = np.arange(n_samples, dtype=float)
     if n_samples == 1:
         phase_cycles = np.zeros(1)
@@ -91,7 +78,7 @@ def synthesize(spec: SignalSpec) -> np.ndarray:
         raise ValueError("signal length must be >= 1")
     x = np.zeros(spec.length)
     for f_start, f_end in spec.chirps:
-        x += linear_chirp(spec.length, f_start, f_end, spec.freq_unit)
+        x += linear_chirp(spec.length, f_start, f_end)
     for pos in spec.dirac_positions:
         x += dirac(spec.length, pos)
     if math.isinf(spec.snr_db) and spec.snr_db > 0:

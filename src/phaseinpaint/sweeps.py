@@ -24,7 +24,7 @@ from .masks import hole_mask, random_mask
 from .metrics import error_db
 from .observe import Observations, observe, rpi_fill
 from .phasecut import PciConfig, extract_phases, pci_signal, pci_solve, phase_cost_matrix
-from .phaselift import PliConfig, extract_signal, pli_solve
+from .phaselift import CONSTRAINT_MODES, PliConfig, extract_signal, pli_solve
 from .signals import benchmark_signal
 
 METHODS = ("gli", "pli", "pci", "rpi")
@@ -69,6 +69,13 @@ class ExperimentConfig:
             raise ValueError("n_trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.gli.n_iter < 1:
+            raise ValueError("gli.n_iter must be >= 1")
+        if self.pli.constraint_mode not in CONSTRAINT_MODES:
+            raise ValueError(
+                f"pli.constraint_mode must be one of {CONSTRAINT_MODES}, "
+                f"got {self.pli.constraint_mode!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -126,7 +133,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def _reconstruct(method: str, obs: Observations, trial_seed: int, cfg: ExperimentConfig):
     """Run one method on one observation set; returns (x_hat, converged)."""
     if method == "gli":
-        result = gli_run(obs, dataclasses.replace(cfg.gli, init_seed=trial_seed))
+        result = gli_run(obs, cfg.gli, seed=trial_seed)
         return result.x_hat, result.converged
     if method == "rpi":
         return istft(obs.system, rpi_fill(obs, seed=trial_seed)), True

@@ -172,7 +172,7 @@ def test_criterion_07_gli_monotonicity():
         ratio = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)[seed % 8]
         x = benchmark_signal(seed=seed)
         obs = observe(sys_, x, random_mask(32, 16, ratio, seed=seed))
-        result = gli_run(obs, GliConfig(n_iter=300, init_seed=seed))
+        result = gli_run(obs, GliConfig(n_iter=300), seed=seed)
         if result.residual_trace.size >= 2:
             worst_jump = max(worst_jump, float(np.max(np.diff(result.residual_trace))))
     ok = worst_jump <= 1e-10

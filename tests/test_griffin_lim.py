@@ -3,7 +3,7 @@
 import numpy as np
 
 from phaseinpaint.gabor import benchmark_system, consistency_projection, istft
-from phaseinpaint.griffin_lim import GliConfig, clamp, gli_run, save_residual_trace
+from phaseinpaint.griffin_lim import GliConfig, clamp, gli_run
 from phaseinpaint.masks import random_mask
 from phaseinpaint.metrics import error_db
 from phaseinpaint.observe import observe
@@ -67,22 +67,22 @@ class TestGliRun:
         sys_ = benchmark_system()
         x = benchmark_signal(seed=5)
         obs = observe(sys_, x, np.ones(SHAPE, dtype=int))
-        result = gli_run(obs, GliConfig(n_iter=1, init_seed=0))
+        result = gli_run(obs, GliConfig(n_iter=1), seed=0)
         assert error_db(x, result.x_hat).e_db <= -200.0
 
     def test_median_recovery_at_thirty_percent(self):
         vals = []
         for seed in range(5):
             x, obs = make_obs(0.3, seed=seed)
-            result = gli_run(obs, GliConfig(init_seed=seed))
+            result = gli_run(obs, seed=seed)
             vals.append(error_db(x, result.x_hat).e_db)
         assert float(np.median(vals)) <= -50.0
 
     def test_iterates_stay_feasible(self):
         # re-run the recursion manually and compare against gli_run's output
         x, obs = make_obs(0.5, seed=6)
-        cfg = GliConfig(n_iter=40, init_seed=6, residual_tol=0.0)
-        result = gli_run(obs, cfg)
+        cfg = GliConfig(n_iter=40, residual_tol=0.0)
+        result = gli_run(obs, cfg, seed=6)
         rng = np.random.default_rng([6, 0x611A])
         phi0 = rng.uniform(0.0, 2.0 * np.pi, size=SHAPE)
         y = obs.magnitudes * np.exp(
@@ -100,7 +100,7 @@ class TestGliRun:
     def test_residual_trace_non_increasing(self):
         for seed, ratio in ((0, 0.2), (1, 0.5), (2, 0.8)):
             _, obs = make_obs(ratio, seed=seed)
-            result = gli_run(obs, GliConfig(n_iter=300, init_seed=seed))
+            result = gli_run(obs, GliConfig(n_iter=300), seed=seed)
             trace = result.residual_trace
             assert np.all(np.diff(trace) <= 1e-10)
 
@@ -110,8 +110,8 @@ class TestGliRun:
         sys_ = benchmark_system()
         x = benchmark_signal(seed=7)
         obs = observe(sys_, x, np.zeros(SHAPE, dtype=int))
-        cfg = GliConfig(n_iter=50, init_seed=7, residual_tol=0.0)
-        result = gli_run(obs, cfg)
+        cfg = GliConfig(n_iter=50, residual_tol=0.0)
+        result = gli_run(obs, cfg, seed=7)
 
         rng = np.random.default_rng([7, 0x611A])
         phi0 = rng.uniform(0.0, 2.0 * np.pi, size=SHAPE)
@@ -124,33 +124,18 @@ class TestGliRun:
 
     def test_early_stop_on_residual_plateau(self):
         x, obs = make_obs(0.1, seed=8)
-        result = gli_run(obs, GliConfig(n_iter=2000, init_seed=8, residual_tol=1e-12))
+        result = gli_run(obs, GliConfig(n_iter=2000, residual_tol=1e-12), seed=8)
         assert result.iterations_run < 2000
         assert error_db(x, result.x_hat).e_db <= -200.0
 
     def test_converged_when_plateau_stops_the_loop(self):
         _, obs = make_obs(0.1, seed=8)
-        result = gli_run(obs, GliConfig(n_iter=2000, init_seed=8))
+        result = gli_run(obs, GliConfig(n_iter=2000), seed=8)
         assert result.converged
         assert result.iterations_run < 2000
 
     def test_not_converged_when_budget_runs_out(self):
         _, obs = make_obs(0.1, seed=8)
-        result = gli_run(obs, GliConfig(n_iter=3, init_seed=8))
+        result = gli_run(obs, GliConfig(n_iter=3), seed=8)
         assert not result.converged
         assert result.iterations_run == 3
-
-    def test_trace_recording_toggle(self):
-        _, obs = make_obs(0.3, seed=9)
-        silent = gli_run(obs, GliConfig(n_iter=20, init_seed=9, record_trace=False))
-        assert silent.residual_trace.size == 0
-
-
-def test_residual_trace_csv(tmp_path):
-    _, obs = make_obs(0.3, seed=10)
-    result = gli_run(obs, GliConfig(n_iter=30, init_seed=10))
-    path = tmp_path / "trace.csv"
-    save_residual_trace(result, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,residual"
-    assert len(lines) == result.residual_trace.size + 1

@@ -3,7 +3,25 @@
 import numpy as np
 import pytest
 
-from phaseinpaint.metrics import DB_FLOOR, error_db, error_db_grid_oracle
+from phaseinpaint.metrics import _RATIO_FLOOR, DB_FLOOR, error_db
+
+
+def error_db_grid_oracle(x, x_hat, grid_points=100_000):
+    """Brute-force error over a uniform grid of global phases."""
+    x = np.asarray(x, dtype=complex)
+    x_hat = np.asarray(x_hat, dtype=complex)
+    norm_x = np.linalg.norm(x)
+    thetas = np.arange(grid_points) * (2.0 * np.pi / grid_points)
+    best = np.inf
+    chunk = 4096
+    for start in range(0, grid_points, chunk):
+        rot = np.exp(1j * thetas[start : start + chunk])
+        diffs = x[None, :] - rot[:, None] * x_hat[None, :]
+        best = min(best, float(np.sqrt(np.min(np.sum(np.abs(diffs) ** 2, axis=1)))))
+    ratio = best / norm_x
+    if ratio <= _RATIO_FLOOR:
+        return DB_FLOOR
+    return max(20.0 * float(np.log10(ratio)), DB_FLOOR)
 
 
 def random_pair(rng, n=32):

@@ -19,7 +19,6 @@ from phaseinpaint.phaselift import (
     constraint_values,
     extract_signal,
     pli_solve,
-    write_stage_log,
 )
 from phaseinpaint.signals import benchmark_signal
 
@@ -274,14 +273,9 @@ class TestPliSolve:
         x_hat = extract_signal(lifted, obs)
         assert error_db(x, x_hat).e_db <= -200.0
 
-    def test_stage_log_written(self, tiny_instance, tmp_path):
+    def test_stage_log_entries(self, tiny_instance):
         _, obs = tiny_instance
-        lifted = pli_solve(obs)
-        path = tmp_path / "stages.json"
-        write_stage_log(lifted, path)
-        import json
-
-        entries = json.loads(path.read_text())
+        entries = pli_solve(obs).stage_log
         assert len(entries) >= 1
         keys = {
             "stage",

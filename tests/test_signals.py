@@ -50,11 +50,6 @@ class TestLinearChirp:
         err = np.abs(measured_nyq - expected)[margin:-margin]
         assert np.max(err) <= 0.02 * f_end
 
-    def test_cycles_unit_doubles_oscillation(self):
-        nyq = linear_chirp(64, 0.5, 0.5, freq_unit="nyquist")
-        cyc = linear_chirp(64, 0.25, 0.25, freq_unit="cycles")
-        assert np.allclose(nyq, cyc, atol=1e-12)
-
 
 class TestDirac:
     def test_benchmark_impulse(self):

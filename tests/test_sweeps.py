@@ -53,6 +53,10 @@ class TestConfig:
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ValueError, match="gli"):
             config_from_dict({"gli": {"iterations": 10}})
+        # the start seed is the trial seed, so a configured one is rejected,
+        # not silently overwritten
+        with pytest.raises(ValueError, match="init_seed"):
+            config_from_dict({"gli": {"init_seed": 5}})
 
     def test_bad_method_rejected(self):
         with pytest.raises(ValueError, match="methods"):
@@ -252,6 +256,23 @@ class TestCli:
         bad.write_text(json.dumps({"methods": ["nope"]}))
         code = main(["sweep", "--kind", "ratio", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            {"gli": {"n_iter": 0}},
+            {"gli": {"n_iter": "ten"}},
+            {"pli": {"constraint_mode": "bogus"}},
+        ],
+        ids=["n_iter_zero", "n_iter_text", "unknown_mode"],
+    )
+    def test_bad_solver_value_exits_two(self, tmp_path, capsys, block):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(block))
+        code = main(["sweep", "--kind", "ratio", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
 
     def test_missing_config_file_exits_two(self, tmp_path):
         code = main(
