@@ -71,6 +71,12 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.gli.n_iter < 1:
             raise ValueError("gli.n_iter must be >= 1")
+        if self.gli.residual_tol < 0:
+            raise ValueError("gli.residual_tol must be >= 0")
+        if min(self.pli.max_outer, self.pli.max_inner, self.pci.max_sweeps) < 1:
+            raise ValueError("pli.max_outer, pli.max_inner and pci.max_sweeps must be >= 1")
+        if not self.pli.penalty_schedule:
+            raise ValueError("pli.penalty_schedule must not be empty")
         if self.pli.constraint_mode not in CONSTRAINT_MODES:
             raise ValueError(
                 f"pli.constraint_mode must be one of {CONSTRAINT_MODES}, "

@@ -1,10 +1,11 @@
 """Alternating-projection solver contracts."""
 
 import numpy as np
+import pytest
 
 from phaseinpaint.gabor import benchmark_system, consistency_projection, istft
 from phaseinpaint.griffin_lim import GliConfig, clamp, gli_run
-from phaseinpaint.masks import random_mask
+from phaseinpaint.masks import hole_mask, random_mask
 from phaseinpaint.metrics import error_db
 from phaseinpaint.observe import observe
 from phaseinpaint.signals import benchmark_signal
@@ -12,10 +13,13 @@ from phaseinpaint.signals import benchmark_signal
 SHAPE = (32, 16)
 
 
-def make_obs(ratio, seed):
+def make_obs(ratio, seed, width=None):
     sys_ = benchmark_system()
     x = benchmark_signal(seed=seed)
-    mask = random_mask(*SHAPE, ratio, seed=seed)
+    if width is None:
+        mask = random_mask(*SHAPE, ratio, seed=seed)
+    else:
+        mask = hole_mask(*SHAPE, ratio, width, seed=seed)
     return x, observe(sys_, x, mask)
 
 
@@ -61,6 +65,22 @@ class TestClamp:
                 )
                 assert d_clamp <= np.linalg.norm(feas - z) + 1e-12
 
+    @pytest.mark.parametrize("width", [None, 7], ids=["random", "hole"])
+    def test_matches_mask_product_formula(self, width):
+        _, obs = make_obs(0.3, seed=5, width=width)
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal(SHAPE) + 1j * rng.standard_normal(SHAPE)
+        off, on = np.argwhere(obs.mask == 0), np.argwhere(obs.mask == 1)
+        z[tuple(off[0])] = z[tuple(on[0])] = 0.0
+        z[tuple(off[1])] = complex(0.0, -0.0)
+        z[tuple(off[2])] = complex(-0.0, -0.0)
+        old = obs.magnitudes * np.exp(
+            1j * (obs.mask * np.angle(obs.known) + (1 - obs.mask) * np.angle(z))
+        )
+        new = clamp(z, obs)
+        assert np.array_equal(new, old)
+        assert new.tobytes() == old.tobytes()  # signs of zeros included
+
 
 class TestGliRun:
     def test_all_phases_known_recovers_immediately(self):
@@ -96,6 +116,35 @@ class TestGliRun:
             on = obs.mask == 1
             assert np.allclose(y[on], obs.known[on], rtol=1e-12)
         assert np.allclose(result.x_hat, istft(sys_, y))
+
+    @pytest.mark.parametrize("width", [None, 7], ids=["random", "hole"])
+    def test_matches_full_projection_recursion(self, width):
+        # gli projects only the missing cells per iteration; the known
+        # cells' share is added once. Compare with projecting the whole grid.
+        _, obs = make_obs(0.3, seed=9, width=width)
+        result = gli_run(obs, GliConfig(n_iter=40, residual_tol=0.0), seed=9)
+        rng = np.random.default_rng([9, 0x611A])
+        phi0 = rng.uniform(0.0, 2.0 * np.pi, size=SHAPE)
+        y = obs.magnitudes * np.exp(
+            1j * (obs.mask * np.angle(obs.known) + (1 - obs.mask) * phi0)
+        )
+        trace = []
+        for _ in range(40):
+            z = consistency_projection(obs.system, y)
+            y = clamp(z, obs)
+            trace.append(np.linalg.norm(y - z))
+        x_full = istft(obs.system, y)
+        assert np.allclose(result.residual_trace, trace, rtol=1e-10, atol=0.0)
+        assert np.linalg.norm(result.x_hat - x_full) <= 1e-10 * np.linalg.norm(x_full)
+
+    def test_all_known_stops_on_plateau_at_second_iteration(self):
+        sys_ = benchmark_system()
+        x = benchmark_signal(seed=5)
+        obs = observe(sys_, x, np.ones(SHAPE, dtype=int))
+        result = gli_run(obs, seed=0)
+        assert result.converged
+        assert result.iterations_run == 2
+        assert error_db(x, result.x_hat).e_db <= -200.0
 
     def test_residual_trace_non_increasing(self):
         for seed, ratio in ((0, 0.2), (1, 0.5), (2, 0.8)):

@@ -263,8 +263,22 @@ class TestCli:
             {"gli": {"n_iter": 0}},
             {"gli": {"n_iter": "ten"}},
             {"pli": {"constraint_mode": "bogus"}},
+            {"gli": {"residual_tol": "x"}},
+            {"pli": {"max_inner": 0}},
+            {"pli": {"max_outer": 0}},
+            {"pli": {"penalty_schedule": []}},
+            {"pci": {"max_sweeps": -1}},
         ],
-        ids=["n_iter_zero", "n_iter_text", "unknown_mode"],
+        ids=[
+            "n_iter_zero",
+            "n_iter_text",
+            "unknown_mode",
+            "residual_tol_text",
+            "max_inner_zero",
+            "max_outer_zero",
+            "empty_schedule",
+            "max_sweeps_negative",
+        ],
     )
     def test_bad_solver_value_exits_two(self, tmp_path, capsys, block):
         bad = tmp_path / "bad.json"
