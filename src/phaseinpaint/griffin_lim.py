@@ -65,7 +65,7 @@ def gli_run(obs: Observations, cfg: GliConfig = GliConfig(), seed: int = 0) -> G
     # P y = P[:, known] y_known + P[:, free] y_free, and y_known never changes.
     free = obs.missing_flat_indices()
     z_known = consistency_projection(system, np.where(obs.mask == 1, y, 0))
-    p_free = np.ascontiguousarray(range_projector(system)[:, free])  # C order: same BLAS path
+    p_free = np.ascontiguousarray(range_projector(system)[:, free])  # C order: BLAS path of P @ y
     trace: list[float] = []
     prev_res = None
     converged = False
