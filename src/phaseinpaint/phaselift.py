@@ -9,10 +9,12 @@ The solver descends on a thin factor V (n x r) of L = V V^H (Burer &
 Monteiro 2003): L is PSD by construction and trace(L) = ||V||_F^2. Every
 factor a step holds carries its product with M, so a step costs two dense
 products (M grad and M^H W) and one sparse one, and forms no n x n matrix.
-The warm-up stages use r = 4; the last penalty stage and the polish stage
-keep the leading singular direction of V (r = 1). The dense lift V V^H is
-formed once per stage, for an independent check that gives ``feas_residual``
-and ``converged``; the rank diagnostics come from the singular values of V.
+A step that does not improve on the incumbent restarts the momentum from
+the incumbent (adaptive restart, O'Donoghue & Candes 2015). The warm-up
+stages use r = 4; the last penalty stage and the polish stage keep the
+leading singular direction of V (r = 1). The dense lift V V^H is formed
+once per stage, for an independent check that gives ``feas_residual`` and
+``converged``; the rank diagnostics come from the singular values of V.
 """
 
 from __future__ import annotations
@@ -278,22 +280,22 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
                 if f_cand <= bound or step < 1e-30:
                     break
                 step *= 0.5
-            # monotone acceleration: keep the better of candidate and incumbent,
-            # but let the extrapolation point follow the candidate
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_m * t_m))
             if f_cand < f_V:
+                # a better candidate is the new incumbent; M Y is the same
+                # combination, the residual (quadratic in V) is evaluated afresh
                 gain = f_V - f_cand
-                V_new, MV_new, res_new, f_V, f_fit_V = cand, M_cand, res_c, f_cand, f_fit_c
+                t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_m * t_m))
+                Y = _momentum(cand, cand, V, t_m, t_new)
+                MY = _momentum(M_cand, M_cand, MV, t_m, t_new)
+                res_y = residual(MY)
+                V, MV, res_V, f_V, f_fit_V = cand, M_cand, res_c, f_cand, f_fit_c
+                t_m = t_new
             else:
+                # restart: drop the momentum and step again from the incumbent,
+                # whose residual is cached
                 gain = 0.0
-                V_new, MV_new, res_new = V, MV, res_V
-            # M is linear, so M Y is the same combination; the residual is
-            # quadratic in V and is evaluated afresh
-            Y = _momentum(V_new, cand, V, t_m, t_new)
-            MY = _momentum(MV_new, M_cand, MV, t_m, t_new)
-            res_y = residual(MY)
-            V, MV, res_V = V_new, MV_new, res_new
-            t_m = t_new
+                Y, MY, res_y = V, MV, res_V
+                t_m = 1.0
             step *= 1.1
             if final_stage and np.sqrt(f_fit_V) / beta <= 0.3 * cfg.feas_tol:
                 break

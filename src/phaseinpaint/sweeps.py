@@ -77,6 +77,8 @@ class ExperimentConfig:
             raise ValueError("pli.max_outer, pli.max_inner and pci.max_sweeps must be >= 1")
         if not self.pli.penalty_schedule:
             raise ValueError("pli.penalty_schedule must not be empty")
+        if not all(0 <= v < np.inf for v in (self.pli.feas_tol, *self.pli.penalty_schedule)):
+            raise ValueError("pli.feas_tol and pli.penalty_schedule entries must be finite and >= 0")
         if self.pli.constraint_mode not in CONSTRAINT_MODES:
             raise ValueError(
                 f"pli.constraint_mode must be one of {CONSTRAINT_MODES}, "

@@ -263,6 +263,19 @@ class TestPliSolve:
         assert lifted.converged
         assert error_db(x, extract_signal(lifted, obs)).e_db <= -100.0
 
+    def test_wide_hole_instance_converges(self):
+        # criterion-5 trial 2 at width 9: when the extrapolation point followed
+        # rejected candidates, the rank-1 final stages stalled unconverged at
+        # -91.7 dB; restarting the momentum from the incumbent converges
+        from phaseinpaint.gabor import benchmark_system
+        from phaseinpaint.masks import hole_mask
+
+        x = benchmark_signal(seed=1236)
+        obs = observe(benchmark_system(), x, hole_mask(32, 16, 0.3, width=9, seed=1236))
+        lifted = pli_solve(obs)
+        assert lifted.converged
+        assert error_db(x, extract_signal(lifted, obs)).e_db <= -100.0
+
     def test_all_phases_known_is_plain_inversion(self):
         from phaseinpaint.gabor import benchmark_system
 

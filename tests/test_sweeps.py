@@ -268,6 +268,11 @@ class TestCli:
             {"pli": {"max_outer": 0}},
             {"pli": {"penalty_schedule": []}},
             {"pci": {"max_sweeps": -1}},
+            {"pli": {"feas_tol": "x"}},
+            {"pli": {"penalty_schedule": ["a"]}},
+            {"pli": {"feas_tol": -1}},
+            {"pli": {"penalty_schedule": [-1.0]}},
+            {"pli": {"penalty_schedule": [1.0, float("nan")]}},
         ],
         ids=[
             "n_iter_zero",
@@ -278,6 +283,11 @@ class TestCli:
             "max_outer_zero",
             "empty_schedule",
             "max_sweeps_negative",
+            "feas_tol_text",
+            "schedule_text",
+            "feas_tol_negative",
+            "schedule_negative",
+            "schedule_nan",
         ],
     )
     def test_bad_solver_value_exits_two(self, tmp_path, capsys, block):
