@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phaseinpaint.gabor import atom_matrix, hann_window, make_gabor_system
-from phaseinpaint.masks import random_mask
+from phaseinpaint.masks import hole_mask, random_mask
 from phaseinpaint.metrics import error_db
 from phaseinpaint.observe import observe
 from phaseinpaint.phaselift import (
@@ -264,11 +264,9 @@ class TestPliSolve:
         assert error_db(x, extract_signal(lifted, obs)).e_db <= -100.0
 
     def test_wide_hole_instance_converges(self):
-        # criterion-5 trial 2 at width 9: when the extrapolation point followed
-        # rejected candidates, the rank-1 final stages stalled unconverged at
-        # -91.7 dB; restarting the momentum from the incumbent converges
+        # criterion-5 trial 2 at width 9: the rank-1 final stages converge only
+        # if a rejected step restarts the momentum from the incumbent
         from phaseinpaint.gabor import benchmark_system
-        from phaseinpaint.masks import hole_mask
 
         x = benchmark_signal(seed=1236)
         obs = observe(benchmark_system(), x, hole_mask(32, 16, 0.3, width=9, seed=1236))
