@@ -25,8 +25,8 @@ from .sweeps import (
     METHODS,
     config_from_dict,
     emit,
-    _reconstruct,
-    _run_sweep,
+    reconstruct,
+    run_sweep,
 )
 
 CONFIG_ERROR = 2
@@ -83,7 +83,7 @@ def _cmd_sweep(args) -> int:
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    rows = _run_sweep(cfg)
+    rows = run_sweep(cfg)
     paths = emit(rows, args.out, cfg)
     print(f"wrote {paths['results']}")
     return 0
@@ -95,7 +95,7 @@ def _cmd_solve(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"config error: cannot load observations: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    x_hat, converged = _reconstruct(args.method, obs, args.seed, ExperimentConfig())
+    x_hat, converged = reconstruct(args.method, obs, args.seed, ExperimentConfig())
     lines = [f"{v.real:.17g},{v.imag:.17g}" for v in x_hat]
     body = "re,im\n" + "\n".join(lines) + "\n"
     if args.out is not None:

@@ -1,10 +1,9 @@
 """Observation model: magnitudes everywhere, phases only on a mask.
 
-Solvers receive an :class:`Observations` object and may only read
+Solvers receive an :class:`Observations` object, which holds only
 ``known`` (complex values, zeroed off the mask), ``magnitudes`` and
-``mask``. The unmasked coefficients are kept on a private attribute so
-test harnesses can compute oracle quantities without giving solvers a
-code path to the hidden phases.
+``mask``: the phases off the mask are not kept, so no solver has a code
+path to them.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ _RPI_STREAM = 0x79F1
 class Observations:
     """Measurements of one signal under one known-phase mask."""
 
-    __slots__ = ("system", "mask", "magnitudes", "known", "_coeffs")
+    __slots__ = ("system", "mask", "magnitudes", "known")
 
     def __init__(
         self,
@@ -65,8 +64,6 @@ class Observations:
         self.magnitudes.setflags(write=False)
         self.known = coeffs * self.mask
         self.known.setflags(write=False)
-        self._coeffs = coeffs.copy()
-        self._coeffs.setflags(write=False)
 
     @property
     def n_known(self) -> int:

@@ -12,9 +12,9 @@ products (M grad and M^H W) and one sparse one, and forms no n x n matrix.
 A step that does not improve on the incumbent restarts the momentum from
 the incumbent (adaptive restart, O'Donoghue & Candes 2015). The warm-up
 stages use r = 4; the last penalty stage and the polish stage keep the
-leading singular direction of V (r = 1). The dense lift V V^H is formed
-once per stage, for an independent check that gives ``feas_residual`` and
-``converged``; the rank diagnostics come from the singular values of V.
+leading singular direction of V (r = 1). The solver returns V and forms no
+n x n matrix: a fresh M V at each stage end gives ``feas_residual`` and
+``converged``, and the diagnostics come from the singular values of V.
 """
 
 from __future__ import annotations
@@ -78,15 +78,25 @@ class PliConstraints:
 
 @dataclass
 class LiftedMatrix:
-    """Solver output: the PSD estimate of x x^H plus diagnostics."""
+    """Solver output: thin factor of the PSD estimate of x x^H plus diagnostics."""
 
-    values: np.ndarray
+    factor: np.ndarray  # n x r; the lifted matrix is factor @ factor^H
     converged: bool = True
     feas_residual: float = 0.0
-    trace: float = 0.0
-    rank_estimate: int = 1
-    eig_ratio: float = 0.0  # second / leading eigenvalue
     stage_log: list = field(default_factory=list)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The n x n lift V V^H, formed on request."""
+        return self.factor @ self.factor.conj().T
+
+    @property
+    def trace(self) -> float:
+        return float(np.vdot(self.factor, self.factor).real)
+
+    @property
+    def rank_estimate(self) -> int:
+        return _rank_estimate(_spectrum(self.factor))
 
 
 def build_constraints(obs: Observations, mode: str = "anchored") -> PliConstraints:
@@ -134,12 +144,6 @@ def _row_products(cons: PliConstraints, A: np.ndarray, B: np.ndarray) -> np.ndar
     """sum_k A[i, k] * conj(B[j, k]) for every constraint row (i, j)."""
     rows_i, rows_j = cons.rows
     return np.einsum("rk,rk->r", A.take(rows_i, axis=0), np.conj(B.take(rows_j, axis=0)))
-
-
-def constraint_values(obs: Observations, cons: PliConstraints, L: np.ndarray) -> np.ndarray:
-    """Evaluate every constraint row at a candidate lifted matrix."""
-    M = atom_matrix(obs.system)
-    return _row_products(cons, M @ L, M)
 
 
 def _factor_gradient(obs: Observations, cons: PliConstraints):
@@ -190,8 +194,8 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
 
     Runs accelerated gradient descent on the factor V of L = V V^H for
     ``||A(V V^H) - targets||^2 + mu * ||V||_F^2`` over a decreasing schedule
-    of penalty weights, warm-starting each stage from the previous one. On
-    return the constraint residual, trace and rank diagnostics are attached;
+    of penalty weights, warm-starting each stage from the previous one.
+    Returns V with its relative constraint residual and the stage log;
     ``converged`` is False if the feasibility tolerance was not reached.
     """
     system = obs.system
@@ -199,28 +203,20 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
     cons = build_constraints(obs, cfg.constraint_mode)
     targets = cons.targets
     beta = float(np.linalg.norm(targets))
-    if obs.n_missing == 0:
-        # every phase observed: the problem is plain linear inversion and the
-        # optimal lift is the rank-one outer product of the synthesized signal
-        x0 = istft(system, obs.known)
-        L = np.outer(x0, np.conj(x0))
-        res = constraint_values(obs, cons, L) - targets
-        return LiftedMatrix(
-            values=L,
-            converged=True,
-            feas_residual=float(np.linalg.norm(res)) / max(beta, 1e-300),
-            trace=float(np.trace(L).real),
-            rank_estimate=1,
-            eig_ratio=0.0,
-        )
-
-    if beta == 0.0:
-        return LiftedMatrix(values=np.zeros((n, n), dtype=complex), converged=True, rank_estimate=0)
-
     M = atom_matrix(system)
 
     def residual(MV: np.ndarray) -> np.ndarray:
         return _row_products(cons, MV, MV) - targets
+
+    if obs.n_missing == 0:
+        # every phase observed: the problem is plain linear inversion and the
+        # optimal lift is x0 x0^H for the synthesized signal x0, so V = x0
+        V = istft(system, obs.known)[:, None]
+        feas = float(np.linalg.norm(residual(M @ V))) / max(beta, 1e-300)
+        return LiftedMatrix(factor=V, feas_residual=feas)
+
+    if beta == 0.0:
+        return LiftedMatrix(factor=np.zeros((n, 1), dtype=complex))
 
     gradient = _factor_gradient(obs, cons)
     sum_r2 = float(np.sum(flatten_grid(obs.magnitudes) ** 2))
@@ -305,8 +301,7 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
                     break
             else:
                 stall = 0
-        res = constraint_values(obs, cons, V @ V.conj().T) - targets
-        rel_feas = float(np.linalg.norm(res)) / beta
+        rel_feas = float(np.linalg.norm(residual(M @ V))) / beta
         stage_log.append(
             {
                 "stage": stage_idx,
@@ -320,35 +315,25 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
             }
         )
 
-    L = V @ V.conj().T
-    L = 0.5 * (L + L.conj().T)
-    eigvals = _spectrum(V)
-    top = float(eigvals[-1])
-    second = float(eigvals[-2]) if eigvals.size >= 2 else 0.0
     return LiftedMatrix(
-        values=L,
+        factor=V,
         converged=bool(rel_feas <= cfg.feas_tol),
         feas_residual=rel_feas,
-        trace=float(np.trace(L).real),
-        rank_estimate=_rank_estimate(eigvals),
-        eig_ratio=(second / top) if top > 0 else np.inf,
         stage_log=stage_log,
     )
 
 
 def extract_signal(lifted: LiftedMatrix, obs: Observations) -> np.ndarray:
-    """Leading-eigenpair extraction with global-phase alignment.
+    """Leading-singular-pair extraction with global-phase alignment.
 
-    The candidate is sqrt(lambda_1) * v_1, rotated by the unit scalar that
-    best matches the phase-known measurements in least squares. With no
-    known cells the result is defined only up to a global phase.
+    The candidate s_1 u_1 of the factor (sqrt(lambda_1) v_1 of V V^H) is
+    rotated by the unit scalar that best matches the phase-known cells in
+    least squares. With no known cells it is defined up to a global phase.
     """
-    A = 0.5 * (lifted.values + lifted.values.conj().T)
-    vals, vecs = np.linalg.eigh(A)
-    lam = float(vals[-1])
-    if lam <= 0.0:
+    U, s, _ = np.linalg.svd(lifted.factor, full_matrices=False)
+    if s[0] <= 0.0:
         raise ValueError("lifted matrix has no positive eigenvalue; extraction is degenerate")
-    x_hat = np.sqrt(lam) * vecs[:, -1]
+    x_hat = s[0] * U[:, 0]
     known = obs.known_flat_indices()
     if known.size > 0:
         b_flat = flatten_grid(obs.known)

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral, Real
+from operator import attrgetter
 from pathlib import Path
 from time import perf_counter
 
@@ -54,36 +57,48 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.sweep not in ("ratio", "hole_width"):
             raise ValueError(f"sweep must be 'ratio' or 'hole_width', got {self.sweep!r}")
-        if not all(0.0 <= r <= 1.0 for r in self.ratios):
-            raise ValueError("ratios must lie in [0, 1]")
-        if not all(w >= 1 for w in self.widths):
-            raise ValueError("hole widths must be >= 1")
-        if not (0.0 <= self.fixed_ratio <= 1.0):
-            raise ValueError("fixed_ratio must lie in [0, 1]")
+        for name in (
+            "n_trials", "workers", "gli.n_iter", "pli.max_outer", "pli.max_inner", "pci.max_sweeps"
+        ):
+            _check_int(name, attrgetter(name)(self), 1)
+        _check_int("base_seed", self.base_seed, 0)
+        system = benchmark_system()
+        for w in self.widths:
+            _check_int("hole width", w, 1, min(system.bins, system.frames))
+        for r in (self.fixed_ratio, *self.ratios):
+            _check_real("ratios and fixed_ratio", r, 1.0)
+        for name in ("gli.residual_tol", "pli.feas_tol"):
+            _check_real(name, attrgetter(name)(self), math.inf)
+        for v in self.pli.penalty_schedule:
+            _check_real("pli.penalty_schedule entries", v, math.inf)
+        if not isinstance(self.record_timing, bool):
+            raise ValueError(f"record_timing must be true or false, got {self.record_timing!r}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if not self.methods:
             raise ValueError("at least one method must be selected")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.gli.n_iter < 1:
-            raise ValueError("gli.n_iter must be >= 1")
-        if self.gli.residual_tol < 0:
-            raise ValueError("gli.residual_tol must be >= 0")
-        if min(self.pli.max_outer, self.pli.max_inner, self.pci.max_sweeps) < 1:
-            raise ValueError("pli.max_outer, pli.max_inner and pci.max_sweeps must be >= 1")
         if not self.pli.penalty_schedule:
             raise ValueError("pli.penalty_schedule must not be empty")
-        if not all(0 <= v < np.inf for v in (self.pli.feas_tol, *self.pli.penalty_schedule)):
-            raise ValueError("pli.feas_tol and pli.penalty_schedule entries must be finite and >= 0")
         if self.pli.constraint_mode not in CONSTRAINT_MODES:
             raise ValueError(
                 f"pli.constraint_mode must be one of {CONSTRAINT_MODES}, "
                 f"got {self.pli.constraint_mode!r}"
             )
+
+
+def _check_int(name: str, value, low: int, high: float = math.inf) -> None:
+    """Reject anything but a non-bool integer in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value <= high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
+def _check_real(name: str, value, high: float) -> None:
+    """Reject anything but a finite non-bool real number in [0, high]."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value <= high:
+        raise ValueError(f"{name} must lie in [0, {high}], got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +153,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _reconstruct(method: str, obs: Observations, trial_seed: int, cfg: ExperimentConfig):
+def reconstruct(method: str, obs: Observations, trial_seed: int, cfg: ExperimentConfig):
     """Run one method on one observation set; returns (x_hat, converged)."""
     if method == "gli":
         result = gli_run(obs, cfg.gli, seed=trial_seed)
@@ -180,7 +195,7 @@ def _run_point_trial(args) -> list[ResultRow]:
     rows = []
     for method in _methods_at_point(cfg, param):
         start = perf_counter()
-        x_hat, converged = _reconstruct(method, obs, trial_seed, cfg)
+        x_hat, converged = reconstruct(method, obs, trial_seed, cfg)
         seconds = perf_counter() - start if cfg.record_timing else 0.0
         rows.append(
             ResultRow(
@@ -196,7 +211,7 @@ def _run_point_trial(args) -> list[ResultRow]:
     return rows
 
 
-def _run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
+def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     cfg.validate()
     points = cfg.ratios if cfg.sweep == "ratio" else cfg.widths
     tasks = [(cfg, float(p), trial) for p in points for trial in range(cfg.n_trials)]
@@ -214,16 +229,12 @@ def _run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
 
 def run_ratio_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     """Error vs. fraction of uniformly missing phases."""
-    if cfg.sweep != "ratio":
-        cfg = dataclasses.replace(cfg, sweep="ratio")
-    return _run_sweep(cfg)
+    return run_sweep(dataclasses.replace(cfg, sweep="ratio"))
 
 
 def run_hole_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     """Error vs. hole width at a fixed missing ratio."""
-    if cfg.sweep != "hole_width":
-        cfg = dataclasses.replace(cfg, sweep="hole_width")
-    return _run_sweep(cfg)
+    return run_sweep(dataclasses.replace(cfg, sweep="hole_width"))
 
 
 def _format_float(value: float) -> str:

@@ -273,6 +273,17 @@ class TestCli:
             {"pli": {"feas_tol": -1}},
             {"pli": {"penalty_schedule": [-1.0]}},
             {"pli": {"penalty_schedule": [1.0, float("nan")]}},
+            {"gli": {"residual_tol": float("nan")}},
+            {"base_seed": "x"},
+            {"base_seed": -5},
+            {"base_seed": 1.5},
+            {"n_trials": 1.5},
+            {"workers": 1.5},
+            {"gli": {"n_iter": 2.5}},
+            {"pci": {"max_sweeps": 2.5}},
+            {"widths": [20]},
+            {"widths": [2.5]},
+            {"record_timing": "no"},
         ],
         ids=[
             "n_iter_zero",
@@ -288,12 +299,24 @@ class TestCli:
             "feas_tol_negative",
             "schedule_negative",
             "schedule_nan",
+            "residual_tol_nan",
+            "base_seed_text",
+            "base_seed_negative",
+            "base_seed_fraction",
+            "n_trials_fraction",
+            "workers_fraction",
+            "n_iter_fraction",
+            "max_sweeps_fraction",
+            "width_too_large",
+            "width_fraction",
+            "record_timing_text",
         ],
     )
     def test_bad_solver_value_exits_two(self, tmp_path, capsys, block):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(block))
-        code = main(["sweep", "--kind", "ratio", "--config", str(bad), "--out", str(tmp_path)])
+        kind = "hole" if "widths" in block else "ratio"
+        code = main(["sweep", "--kind", kind, "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
