@@ -121,17 +121,17 @@ def load_observations(directory) -> Observations:
     """Load observations written by :func:`save_observations`.
 
     The loaded object carries no information beyond what a solver is allowed
-    to see: off-mask coefficients come back as zeros. Raises ValueError when
-    a ``b.csv`` index is not an integer, lies outside the grid, repeats or
-    names a cell where ``mask.csv`` is 0.
+    to see: off-mask coefficients come back as zeros. Raises ValueError if
+    sys.json is not an object with integer hop, bins and signal_len, or if a
+    b.csv index is not an integer, lies off the grid, repeats or is off the mask.
     """
     directory = Path(directory)
     sys_desc = json.loads((directory / "sys.json").read_text())
+    sizes = ("hop", "bins", "signal_len")
+    if not isinstance(sys_desc, dict) or any(type(sys_desc.get(k)) is not int for k in sizes):
+        raise ValueError(f"sys.json must be an object with integer {', '.join(sizes)}")
     system = make_gabor_system(
-        np.asarray(sys_desc["window"], dtype=float),
-        hop=int(sys_desc["hop"]),
-        bins=int(sys_desc["bins"]),
-        signal_len=int(sys_desc["signal_len"]),
+        np.asarray(sys_desc["window"], dtype=float), **{k: sys_desc[k] for k in sizes}
     )
     magnitudes = np.loadtxt(directory / "r.csv", delimiter=",", ndmin=2)
     mask = load_mask_csv(directory / "mask.csv")

@@ -5,16 +5,17 @@ Magnitude-only cells give linear constraints on the diagonal of M L M^H,
 phase-known cells give linear constraints on its off-diagonal entries, and
 the trace of L is driven down by a continuation of penalty weights.
 
-The solver descends on a thin factor V (n x r) of L = V V^H (Burer &
+The solver descends on a thin factor V (n x 4) of L = V V^H (Burer &
 Monteiro 2003): L is PSD by construction and trace(L) = ||V||_F^2. Every
 factor a step holds carries its product with M, so a step costs two dense
-products (M grad and M^H W) and one sparse one, and forms no n x n matrix.
-A step that does not improve on the incumbent restarts the momentum from
-the incumbent (adaptive restart, O'Donoghue & Candes 2015). The warm-up
-stages use r = 4; the last penalty stage and the polish stage keep the
-leading singular direction of V (r = 1). The solver returns V and forms no
-n x n matrix: a fresh M V at each stage end gives ``feas_residual`` and
-``converged``, and the diagnostics come from the singular values of V.
+products (M grad and M^H W) and one sparse one. A step that does not
+improve on the incumbent restarts the momentum from the incumbent (adaptive
+restart, O'Donoghue & Candes 2015). After this warm-up, Levenberg-Marquardt
+fits the constraints with a rank-one factor x, the leading singular
+direction of V (Gauss-Newton for phaseless data: Gao & Xu 2017). No n x n
+matrix is formed: the solver returns x, a fresh M V at each stage end gives
+``feas_residual`` and ``converged``, and the diagnostics come from the
+singular values of the factor.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ import scipy.sparse as sp
 from .gabor import atom_matrix, flatten_grid, istft
 from .observe import Observations
 
-_DEFAULT_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+_DEFAULT_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-3)
 CONSTRAINT_MODES = ("full", "anchored")
 _WARM_RANK = 4  # columns of V in the warm-up penalty stages
-_FINAL_RANK = 1  # columns of V in the last penalty stage and the polish stage
 _INIT_SEED = 0x1F7  # seed of the orthonormal starting factor
 
 
@@ -117,27 +117,17 @@ def build_constraints(obs: Observations, mode: str = "anchored") -> PliConstrain
     diag_k = missing.copy()
     diag_target = r_flat[missing] ** 2
     if known.size == 0:
-        pair_i = np.zeros(0, dtype=np.int64)
-        pair_j = np.zeros(0, dtype=np.int64)
-        pair_target = np.zeros(0, dtype=complex)
+        pair_i = pair_j = np.zeros(0, dtype=np.int64)
     elif mode == "full":
         grid_i, grid_j = np.meshgrid(known, known, indexing="ij")
-        pair_i = grid_i.ravel()
-        pair_j = grid_j.ravel()
-        pair_target = b_flat[pair_i] * np.conj(b_flat[pair_j])
+        pair_i, pair_j = grid_i.ravel(), grid_j.ravel()
     else:
         anchor = known[int(np.argmax(r_flat[known]))]
         others = known[known != anchor]
         pair_i = np.concatenate([known, others])
         pair_j = np.concatenate([known, np.full(others.size, anchor, dtype=np.int64)])
-        pair_target = b_flat[pair_i] * np.conj(b_flat[pair_j])
-    return PliConstraints(
-        pair_i=pair_i,
-        pair_j=pair_j,
-        pair_target=pair_target,
-        diag_k=diag_k,
-        diag_target=diag_target,
-    )
+    pair_target = b_flat[pair_i] * np.conj(b_flat[pair_j])
+    return PliConstraints(pair_i, pair_j, pair_target, diag_k, diag_target)
 
 
 def _row_products(cons: PliConstraints, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -146,30 +136,59 @@ def _row_products(cons: PliConstraints, A: np.ndarray, B: np.ndarray) -> np.ndar
     return np.einsum("rk,rk->r", A.take(rows_i, axis=0), np.conj(B.take(rows_j, axis=0)))
 
 
+def _scatter(rows: np.ndarray, cols: np.ndarray, n_cells: int):
+    """CSR S with one unsummed entry per (rows[k], cols[k]); set ``S.data = values.take(order)``."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n_cells))]
+    S = sp.csr_matrix(
+        (np.zeros(rows.size, dtype=complex), cols[order], indptr), shape=(n_cells, n_cells)
+    )
+    return S, order
+
+
 def _factor_gradient(obs: Observations, cons: PliConstraints):
     """``grad(V, MV, res, mu)``: the gradient in V of ``||res||^2 + mu * ||V||_F^2``.
 
     ``MV`` is M V and ``res`` the constraint residual at V. The gradient
     2 (M^H (S + S^H) M V + mu V) costs one sparse and one dense product: one
     CSR matrix holds conj(res) at (j, i) and res at (i, j) for every row
-    (i, j), and keeps the two entries of a shared cell apart, unsummed.
+    (i, j).
     """
     MH = np.ascontiguousarray(atom_matrix(obs.system).conj().T)
-    n_cells = obs.system.n_cells
     rows_i, rows_j = cons.rows
-    rows = np.r_[rows_j, rows_i]
-    order = np.argsort(rows, kind="stable")
-    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n_cells))]
-    S = sp.csr_matrix(
-        (np.zeros(rows.size, dtype=complex), np.r_[rows_i, rows_j][order], indptr),
-        shape=(n_cells, n_cells),
-    )
+    S, order = _scatter(np.r_[rows_j, rows_i], np.r_[rows_i, rows_j], obs.system.n_cells)
 
     def grad(V: np.ndarray, MV: np.ndarray, res: np.ndarray, mu: float) -> np.ndarray:
         S.data = np.concatenate([np.conj(res), res]).take(order)
         return 2.0 * (MH @ (S @ MV) + mu * V)
 
     return grad
+
+
+def _normal_matrix(obs: Observations, cons: PliConstraints):
+    """``normal(u)``: the Gauss-Newton matrix J^T J of the constraint residual at u = M x.
+
+    For x = a + i b, row (i, j) of the residual u_i conj(u_j) - t moves by
+    C [da; db] with C = [A + B, i (A - B)], A = diag(conj(u_j)) M[rows_i] and
+    B = diag(u_i) conj(M[rows_j]), and J^T J = Re(C^H C) (real, 2n x 2n). Its
+    blocks come from A^H A = M^H diag(w_a) M, B^H B = conj(M^H diag(w_b) M)
+    and A^H B = M^H P conj(M), with u_i u_j at (i, j) of the CSR matrix P.
+    """
+    M = atom_matrix(obs.system)
+    MH, M_conj = np.ascontiguousarray(M.conj().T), np.conj(M)
+    n_cells = obs.system.n_cells
+    rows_i, rows_j = cons.rows
+    P, order = _scatter(rows_i, rows_j, n_cells)
+
+    def normal(u: np.ndarray) -> np.ndarray:
+        AA = (MH * np.bincount(rows_i, np.abs(u[rows_j]) ** 2, minlength=n_cells)) @ M
+        BB = np.conj((MH * np.bincount(rows_j, np.abs(u[rows_i]) ** 2, minlength=n_cells)) @ M)
+        P.data = (u[rows_i] * u[rows_j]).take(order)
+        AB = MH @ (P @ M_conj)
+        both, herm, cross = AA + BB, AB + AB.conj().T, AA - BB - AB + AB.conj().T
+        return np.block([[both + herm, 1j * cross], [-1j * cross.conj().T, both - herm]]).real
+
+    return normal
 
 
 def _rank_estimate(eigvals: np.ndarray, rel_tol: float = 1e-6) -> int:
@@ -194,9 +213,11 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
 
     Runs accelerated gradient descent on the factor V of L = V V^H for
     ``||A(V V^H) - targets||^2 + mu * ||V||_F^2`` over a decreasing schedule
-    of penalty weights, warm-starting each stage from the previous one.
-    Returns V with its relative constraint residual and the stage log;
-    ``converged`` is False if the feasibility tolerance was not reached.
+    of penalty weights, warm-starting each stage from the previous one, then
+    Levenberg-Marquardt on ``||A(x x^H) - targets||^2`` (one damped solve and
+    one candidate per iteration) from the leading singular direction x of V.
+    Returns x (n x 1) with its relative constraint residual and the stage
+    log; ``converged`` is False if the feasibility tolerance was not reached.
     """
     system = obs.system
     n = system.signal_len
@@ -223,7 +244,6 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
     frame_weight = float(np.sum(np.abs(M) ** 2))
     tau0 = max(sum_r2 * n / frame_weight, 1e-300)
 
-    schedule = list(cfg.penalty_schedule[: cfg.max_outer])
     # the start is a fixed-seed orthonormal factor with trace tau0, so solves
     # are bit-deterministic
     rank = min(_WARM_RANK, n)
@@ -232,33 +252,36 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
     V = Q * np.sqrt(tau0 / rank)
     step = 1.0 / max(frame_weight * tau0, 1.0)
     stage_log: list[dict] = []
-    rel_feas = np.inf
     stall_tol = 1e-15 * beta * beta
 
-    # a zero-penalty polish stage follows the schedule if feasibility is not met
-    stages = [lam * beta**2 / tau0 for lam in schedule] + [0.0]
-    for stage_idx, mu in enumerate(stages):
-        final_stage = stage_idx >= len(schedule) - 1
-        if stage_idx == len(schedule) and rel_feas <= cfg.feas_tol:
-            break  # polish stage not needed
-        if final_stage and V.shape[1] > _FINAL_RANK:
-            # keep the leading singular direction: the best rank-one lift
-            U, s, _ = np.linalg.svd(V, full_matrices=False)
-            V = U[:, :_FINAL_RANK] * s[:_FINAL_RANK]
+    def log_stage(lam: float, V: np.ndarray, iterations: int, evaluations: int, t0: float) -> float:
+        rel_feas = float(np.linalg.norm(residual(M @ V))) / beta
+        stage_log.append(
+            {
+                "stage": len(stage_log),
+                "lambda": float(lam),
+                "feas_residual": rel_feas,
+                "trace": float(np.vdot(V, V).real),
+                "rank_estimate": _rank_estimate(_spectrum(V)),
+                "iterations": iterations,
+                "projections": evaluations,
+                "seconds": time.perf_counter() - t0,
+            }
+        )
+        return rel_feas
+
+    for lam in cfg.penalty_schedule[: cfg.max_outer]:
+        mu = lam * beta**2 / tau0
         t0 = time.perf_counter()
         # the incumbent with M V and its constraint residual; within the stage
         # M V follows V by linearity
         MV = M @ V
         res_V = residual(MV)
-        f_fit_V = float(np.vdot(res_V, res_V).real)
-        f_V = f_fit_V + mu * float(np.vdot(V, V).real)
-        Y, MY, res_y = V, MV, res_V
-        t_m = 1.0
+        f_V = float(np.vdot(res_V, res_V).real) + mu * float(np.vdot(V, V).real)
+        Y, MY, res_y, t_m = V, MV, res_V, 1.0
         stall = iterations = evaluations = 0
-        # warm-up stages only need enough accuracy to hand over a good start
-        inner_cap = cfg.max_inner if final_stage else min(cfg.max_inner, 200)
-        stage_stall_rel = 1e-12 if final_stage else 1e-9
-        for _ in range(inner_cap):
+        # the warm-up only needs enough accuracy to hand LM a good start
+        for _ in range(min(cfg.max_inner, 200)):
             iterations += 1
             f_y = float(np.vdot(res_y, res_y).real) + mu * float(np.vdot(Y, Y).real)
             grad = gradient(Y, MY, res_y, mu)
@@ -269,8 +292,7 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
                 M_cand = MY - step * M_grad
                 evaluations += 1
                 res_c = residual(M_cand)
-                f_fit_c = float(np.vdot(res_c, res_c).real)
-                f_cand = f_fit_c + mu * float(np.vdot(cand, cand).real)
+                f_cand = float(np.vdot(res_c, res_c).real) + mu * float(np.vdot(cand, cand).real)
                 # against the quadratic upper bound along the step, f_y - (step/2) ||grad||^2
                 bound = f_y - 0.5 * step * grad_sq + 1e-12 * max(1.0, abs(f_y))
                 if f_cand <= bound or step < 1e-30:
@@ -284,43 +306,53 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
                 Y = _momentum(cand, cand, V, t_m, t_new)
                 MY = _momentum(M_cand, M_cand, MV, t_m, t_new)
                 res_y = residual(MY)
-                V, MV, res_V, f_V, f_fit_V = cand, M_cand, res_c, f_cand, f_fit_c
+                V, MV, res_V, f_V = cand, M_cand, res_c, f_cand
                 t_m = t_new
             else:
                 # restart: drop the momentum and step again from the incumbent,
                 # whose residual is cached
                 gain = 0.0
-                Y, MY, res_y = V, MV, res_V
-                t_m = 1.0
+                Y, MY, res_y, t_m = V, MV, res_V, 1.0
             step *= 1.1
-            if final_stage and np.sqrt(f_fit_V) / beta <= 0.3 * cfg.feas_tol:
+            stall = stall + 1 if gain <= stall_tol + 1e-9 * abs(f_V) else 0
+            if stall >= 5:
                 break
-            if gain <= stall_tol + stage_stall_rel * abs(f_V):
-                stall += 1
-                if stall >= 5:
-                    break
-            else:
-                stall = 0
-        rel_feas = float(np.linalg.norm(residual(M @ V))) / beta
-        stage_log.append(
-            {
-                "stage": stage_idx,
-                "lambda": float(mu * tau0 / beta**2),
-                "feas_residual": rel_feas,
-                "trace": float(np.vdot(V, V).real),
-                "rank_estimate": _rank_estimate(_spectrum(V)),
-                "iterations": iterations,
-                "projections": evaluations,
-                "seconds": time.perf_counter() - t0,
-            }
-        )
+        log_stage(lam, V, iterations, evaluations, t0)
 
-    return LiftedMatrix(
-        factor=V,
-        converged=bool(rel_feas <= cfg.feas_tol),
-        feas_residual=rel_feas,
-        stage_log=stage_log,
-    )
+    # Levenberg-Marquardt on the fit alone, from the best rank-one lift of V
+    t0 = time.perf_counter()
+    U, s, _ = np.linalg.svd(V, full_matrices=False)
+    x = U[:, :1] * s[:1]
+    normal = _normal_matrix(obs, cons)
+    Mx = M @ x
+    res = residual(Mx)
+    f = float(np.vdot(res, res).real)
+    damping, JTJ, iterations = 1e-3, None, 0
+    for _ in range(cfg.max_inner):
+        iterations += 1
+        if JTJ is None:
+            # J^T r is half the gradient of ||r||^2, split into Re and Im parts
+            g = 0.5 * gradient(x, Mx, res, 0.0)
+            rhs, JTJ = -np.r_[g.real, g.imag], normal(Mx[:, 0])
+        # the Marquardt diagonal also damps the global-phase direction, which
+        # J^T J leaves free
+        delta = np.linalg.solve(JTJ + np.diag(damping * JTJ.diagonal()), rhs)
+        cand = x + delta[:n] + 1j * delta[n:]
+        M_cand = M @ cand
+        res_c = residual(M_cand)
+        f_c = float(np.vdot(res_c, res_c).real)
+        if not f_c < f:  # rejected; a step damped below round-off means x is stationary
+            damping *= 4.0
+            if damping > 1e16:
+                break
+            continue
+        gain, damping, JTJ = f - f_c, damping / 3.0, None
+        x, Mx, res, f = cand, M_cand, res_c, f_c
+        if np.sqrt(f) / beta <= 0.3 * cfg.feas_tol or gain <= 1e-9 * (f + gain):
+            break
+    rel_feas = log_stage(0.0, x, iterations, iterations, t0)
+
+    return LiftedMatrix(x, bool(rel_feas <= cfg.feas_tol), rel_feas, stage_log)
 
 
 def extract_signal(lifted: LiftedMatrix, obs: Observations) -> np.ndarray:

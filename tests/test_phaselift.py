@@ -12,6 +12,7 @@ from phaseinpaint.phaselift import (
     PliConfig,
     _factor_gradient,
     _momentum,
+    _normal_matrix,
     _rank_estimate,
     _row_products,
     _spectrum,
@@ -208,6 +209,53 @@ class TestFactorResiduals:
         assert np.allclose(_spectrum(V), dense, rtol=1e-12, atol=1e-12 * dense[-1])
 
 
+class TestLevenbergMarquardt:
+    def test_normal_matrix_matches_explicit_jacobian(self, medium_instance):
+        # Re(C^H C) with C = [A + B, i (A - B)] built row by row, against the
+        # cell-space assembly that never forms a rows x n array
+        _, obs = medium_instance
+        M = atom_matrix(obs.system)
+        rng = np.random.default_rng(10)
+        for mode in ("full", "anchored"):
+            cons = build_constraints(obs, mode)
+            rows_i, rows_j = cons.rows
+            u = M @ (rng.standard_normal(32) + 1j * rng.standard_normal(32))
+            A = np.conj(u[rows_j])[:, None] * M[rows_i]
+            B = u[rows_i][:, None] * np.conj(M[rows_j])
+            C = np.hstack([A + B, 1j * (A - B)])
+            explicit = (C.conj().T @ C).real
+            assembled = _normal_matrix(obs, cons)(u)
+            assert np.linalg.norm(assembled - explicit) <= 1e-12 * np.linalg.norm(explicit)
+
+    def test_step_from_perturbed_signal_lowers_residual(self, medium_instance):
+        # one damped Gauss-Newton step as pli takes it: J^T r is half the
+        # factor gradient, packed as real and imaginary parts
+        x, obs = medium_instance
+        M = atom_matrix(obs.system)
+        rng = np.random.default_rng(11)
+        for mode in ("full", "anchored"):
+            cons = build_constraints(obs, mode)
+            z = (x + 1e-3 * (rng.standard_normal(32) + 1j * rng.standard_normal(32)))[:, None]
+            res = _factor_values(obs, cons, z) - cons.targets
+            g = 0.5 * _factor_gradient(obs, cons)(z, M @ z, res, 0.0)
+            JTJ = _normal_matrix(obs, cons)((M @ z)[:, 0])
+            delta = np.linalg.solve(JTJ + np.diag(1e-3 * JTJ.diagonal()), -np.r_[g.real, g.imag])
+            stepped = z + delta[:32] + 1j * delta[32:]
+            res_new = _factor_values(obs, cons, stepped) - cons.targets
+            assert np.vdot(res_new, res_new).real <= 1e-2 * np.vdot(res, res).real
+
+    def test_default_solve_logs_warm_up_then_lm(self, medium_instance):
+        _, obs = medium_instance
+        lifted = pli_solve(obs)
+        log = lifted.stage_log
+        schedule = PliConfig().penalty_schedule
+        assert len(log) == len(schedule) + 1
+        assert [entry["lambda"] for entry in log[:-1]] == list(schedule)
+        assert log[-1]["lambda"] == 0.0
+        assert lifted.factor.shape == (32, 1)
+        assert 1 <= log[-1]["iterations"] <= PliConfig().max_inner
+
+
 class TestPliSolve:
     def test_tiny_full_mode_recovers(self, tiny_instance):
         x, obs = tiny_instance
@@ -323,6 +371,33 @@ class TestPliSolve:
         for entry in entries:
             # every step evaluates at least one candidate, more when it backtracks
             assert 1 <= entry["iterations"] <= entry["projections"]
+
+
+@pytest.mark.slow
+def test_reference_solves_gate():
+    # the 40 reference solves of every pli change: ratios 0.5/0.6 at seeds
+    # 1234-1243 and hole widths 3/5/7/9 at ratio 0.3, seeds 1234-1238
+    from phaseinpaint.gabor import benchmark_system
+
+    system = benchmark_system()
+    instances = [("ratio", p, seed) for p in (0.5, 0.6) for seed in range(1234, 1244)]
+    instances += [("hole", w, seed) for w in (3, 5, 7, 9) for seed in range(1234, 1239)]
+    unconverged, worst_ratio = [], -np.inf
+    for kind, param, seed in instances:
+        x = benchmark_signal(seed=seed)
+        if kind == "ratio":
+            mask = random_mask(32, 16, param, seed=seed)
+        else:
+            mask = hole_mask(32, 16, 0.3, width=param, seed=seed)
+        obs = observe(system, x, mask)
+        lifted = pli_solve(obs)
+        if not lifted.converged:
+            unconverged.append((kind, param, seed))
+        if kind == "ratio":
+            worst_ratio = max(worst_ratio, error_db(x, extract_signal(lifted, obs)).e_db)
+    assert not unconverged
+    assert worst_ratio <= -100.0
+    assert np.array_equal(pli_solve(obs).factor, lifted.factor)
 
 
 class TestExtractSignal:

@@ -8,15 +8,18 @@ import numpy as np
 import pytest
 
 from phaseinpaint.cli import main
-from phaseinpaint.observe import observe, save_observations
-from phaseinpaint.gabor import benchmark_system
+from phaseinpaint.observe import Observations, observe, save_observations
+from phaseinpaint.gabor import benchmark_system, stft
 from phaseinpaint.masks import random_mask
+from phaseinpaint.metrics import error_db
+from phaseinpaint.phaselift import PliConfig, pli_solve
 from phaseinpaint.signals import benchmark_signal
 from phaseinpaint.sweeps import (
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
     emit,
+    reconstruct,
     run_hole_sweep,
     run_ratio_sweep,
     summarize,
@@ -131,6 +134,30 @@ class TestRatioSweep:
         assert [(r.sweep_param, r.method, r.trial, r.e_db) for r in serial] == [
             (r.sweep_param, r.method, r.trial, r.e_db) for r in parallel
         ]
+
+
+def test_inconsistent_magnitudes_end_finite_with_honest_status():
+    # 1% complex noise on the STFT coefficients: no signal matches the
+    # magnitudes and known phases. gli and pci stop on their own rules, rpi
+    # always reports True, and pli ends at a least-squares point short of
+    # feas_tol, its LM stage stopped by its own rule before the budget
+    system = benchmark_system()
+    x = benchmark_signal(seed=1234)
+    coeffs = stft(system, x)
+    rng = np.random.default_rng(1234)
+    noise = (rng.standard_normal(coeffs.shape) + 1j * rng.standard_normal(coeffs.shape)) / np.sqrt(2)
+    coeffs = coeffs + 0.01 * np.sqrt(np.mean(np.abs(coeffs) ** 2)) * noise
+    obs = Observations(system, coeffs, random_mask(32, 16, 0.5, seed=1234))
+    expected = {"gli": True, "pci": True, "rpi": True, "pli": False}
+    for method, converged in expected.items():
+        x_hat, status = reconstruct(method, obs, 1234, ExperimentConfig())
+        assert np.all(np.isfinite(x_hat)), method
+        assert status is converged, method
+        if method != "rpi":
+            assert error_db(x, x_hat).e_db <= -30.0, method
+    lifted = pli_solve(obs)
+    assert lifted.feas_residual > PliConfig().feas_tol
+    assert lifted.stage_log[-1]["iterations"] < PliConfig().max_inner
 
 
 class TestHoleSweep:
@@ -373,6 +400,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err
         assert message in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda desc: [desc],
+            lambda desc: {**desc, "hop": None},
+            lambda desc: {**desc, "signal_len": desc["signal_len"] + 0.5},
+            lambda desc: {**desc, "bins": float(desc["bins"])},
+            lambda desc: {**desc, "bins": str(desc["bins"])},
+            lambda desc: {**desc, "hop": True},
+        ],
+        ids=["list", "hop_null", "signal_len_fraction", "bins_float", "bins_text", "hop_bool"],
+    )
+    def test_solve_bad_sys_json_exits_two(self, tmp_path, capsys, edit):
+        obs = observe(benchmark_system(), benchmark_signal(seed=3), random_mask(32, 16, 0.2, seed=3))
+        save_observations(obs, tmp_path / "obs")
+        sys_json = tmp_path / "obs" / "sys.json"
+        sys_json.write_text(json.dumps(edit(json.loads(sys_json.read_text()))))
+        out = tmp_path / "recon.csv"
+        code = main(["solve", "--obs", str(tmp_path / "obs"), "--method", "gli", "--out", str(out)])
+        assert code == 2
+        assert "sys.json" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_module_invocation(self, tmp_path):
         # exercised through a subprocess to mirror the shipped console script
