@@ -7,8 +7,8 @@ machine precision whenever the window shifts cover every sample.
 
 import numpy as np
 
-from phaseinpaint import benchmark_system, error_db, istft, make_gabor_system, stft
-from phaseinpaint import hann_window
+from phaseinpaint import benchmark_system, error_db
+from phaseinpaint.gabor import hann_window, istft, make_gabor_system, stft
 
 sys_ = benchmark_system()
 print(f"system: {sys_.bins} bins x {sys_.frames} frames over {sys_.signal_len} samples")

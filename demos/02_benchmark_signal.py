@@ -6,7 +6,8 @@ vertical impulse line are visible without any plotting dependency.
 
 import numpy as np
 
-from phaseinpaint import benchmark_signal, benchmark_system, stft
+from phaseinpaint import benchmark_signal, benchmark_system
+from phaseinpaint.gabor import stft
 
 sys_ = benchmark_system()
 x = benchmark_signal(seed=0)

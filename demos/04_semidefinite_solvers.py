@@ -8,19 +8,9 @@ the Gram matrix of the unit-modulus phases.
 
 import numpy as np
 
-from phaseinpaint import (
-    benchmark_signal,
-    benchmark_system,
-    error_db,
-    extract_phases,
-    extract_signal,
-    observe,
-    pci_signal,
-    pci_solve,
-    phase_cost_matrix,
-    pli_solve,
-    random_mask,
-)
+from phaseinpaint import benchmark_signal, benchmark_system, error_db, observe, random_mask
+from phaseinpaint.phasecut import extract_phases, pci_signal, pci_solve, phase_cost_matrix
+from phaseinpaint.phaselift import extract_signal, pli_solve
 
 sys_ = benchmark_system()
 x = benchmark_signal(seed=7)

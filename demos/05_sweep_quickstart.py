@@ -7,8 +7,7 @@ script drives the same machinery in-process with a small configuration.
 import tempfile
 from pathlib import Path
 
-from phaseinpaint import emit, run_ratio_sweep
-from phaseinpaint.sweeps import config_from_dict
+from phaseinpaint.sweeps import config_from_dict, emit, run_ratio_sweep
 
 cfg = config_from_dict(
     dict(

@@ -100,22 +100,10 @@ def unflatten_grid(sys: GaborSystem, vec: np.ndarray) -> np.ndarray:
     return np.reshape(vec, (sys.bins, sys.frames), order="F")
 
 
-def atom(sys: GaborSystem, t: int, nu: int) -> np.ndarray:
-    """Gabor atom: window circularly shifted by t*hop, modulated to bin nu."""
-    if not (0 <= t < sys.frames):
-        raise IndexError(f"frame index {t} outside [0, {sys.frames})")
-    if not (0 <= nu < sys.bins):
-        raise IndexError(f"bin index {nu} outside [0, {sys.bins})")
-    n = np.arange(sys.signal_len)
-    w_full = np.zeros(sys.signal_len)
-    w_full[: sys.window.size] = sys.window
-    shifted = np.roll(w_full, t * sys.hop)
-    return shifted * np.exp(2j * np.pi * nu * n / sys.bins)
-
-
 @lru_cache(maxsize=16)
 def atom_matrix(sys: GaborSystem) -> np.ndarray:
-    """Dense analysis matrix M; row t*bins+nu holds the conjugated atom.
+    """Dense analysis matrix M; row t*bins+nu holds the conjugated Gabor atom,
+    the window circularly shifted by t*hop and modulated to bin nu.
 
     ``M @ x`` equals the flattened analysis coefficients of ``x``.
     """

@@ -80,13 +80,6 @@ def hole_mask(
     return mask
 
 
-def mask_stats(mask: np.ndarray) -> tuple[int, float]:
-    """Missing-cell count and missing ratio of a mask."""
-    mask = np.asarray(mask)
-    missing = int(np.count_nonzero(mask == 0))
-    return missing, missing / mask.size
-
-
 def save_mask_csv(mask: np.ndarray, path) -> None:
     """Write a mask as a 0/1 integer grid."""
     np.savetxt(path, np.asarray(mask, dtype=np.int64), fmt="%d", delimiter=",")

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,33 +46,22 @@ class PliConfig:
 
 @dataclass(frozen=True)
 class PliConstraints:
-    """Linear constraints on the lifted matrix.
+    """Linear constraints on the lifted matrix, one row per (i, j) cell pair.
 
-    Pair rows fix (M L M^H)[i, j] to known_value[i] * conj(known_value[j]);
-    diagonal rows fix (M L M^H)[k, k] to magnitude[k]**2. The orientation of
-    the pair targets is pinned by requiring the lift of the true signal to be
-    feasible (checked in tests).
+    Row r fixes (M L M^H)[rows_i[r], rows_j[r]] to targets[r]. Pair rows
+    come first, with known_value[i] * conj(known_value[j]) as target;
+    diagonal rows (k, k) of the phase-missing cells follow, with
+    magnitude[k]**2. The orientation of the pair targets is pinned by
+    requiring the lift of the true signal to be feasible (checked in tests).
     """
 
-    pair_i: np.ndarray
-    pair_j: np.ndarray
-    pair_target: np.ndarray
-    diag_k: np.ndarray
-    diag_target: np.ndarray
+    rows_i: np.ndarray
+    rows_j: np.ndarray
+    targets: np.ndarray
 
     @property
     def n_rows(self) -> int:
-        return self.pair_i.size + self.diag_k.size
-
-    @cached_property
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(i, j) cells of every row: the pair rows, then the diagonal rows."""
-        return np.r_[self.pair_i, self.diag_k], np.r_[self.pair_j, self.diag_k]
-
-    @cached_property
-    def targets(self) -> np.ndarray:
-        """Target value of every row, in the order of :attr:`rows`."""
-        return np.concatenate([self.pair_target, self.diag_target.astype(complex)])
+        return self.rows_i.size
 
 
 @dataclass
@@ -114,8 +102,6 @@ def build_constraints(obs: Observations, mode: str = "anchored") -> PliConstrain
     missing = obs.missing_flat_indices()
     r_flat = flatten_grid(obs.magnitudes)
     b_flat = flatten_grid(obs.known)
-    diag_k = missing.copy()
-    diag_target = r_flat[missing] ** 2
     if known.size == 0:
         pair_i = pair_j = np.zeros(0, dtype=np.int64)
     elif mode == "full":
@@ -127,13 +113,17 @@ def build_constraints(obs: Observations, mode: str = "anchored") -> PliConstrain
         pair_i = np.concatenate([known, others])
         pair_j = np.concatenate([known, np.full(others.size, anchor, dtype=np.int64)])
     pair_target = b_flat[pair_i] * np.conj(b_flat[pair_j])
-    return PliConstraints(pair_i, pair_j, pair_target, diag_k, diag_target)
+    return PliConstraints(
+        rows_i=np.concatenate([pair_i, missing]),
+        rows_j=np.concatenate([pair_j, missing]),
+        targets=np.concatenate([pair_target, (r_flat[missing] ** 2).astype(complex)]),
+    )
 
 
 def _row_products(cons: PliConstraints, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """sum_k A[i, k] * conj(B[j, k]) for every constraint row (i, j)."""
-    rows_i, rows_j = cons.rows
-    return np.einsum("rk,rk->r", A.take(rows_i, axis=0), np.conj(B.take(rows_j, axis=0)))
+    A_i, B_j = A.take(cons.rows_i, axis=0), B.take(cons.rows_j, axis=0)
+    return np.einsum("rk,rk->r", A_i, np.conj(B_j))
 
 
 def _scatter(rows: np.ndarray, cols: np.ndarray, n_cells: int):
@@ -155,7 +145,7 @@ def _factor_gradient(obs: Observations, cons: PliConstraints):
     (i, j).
     """
     MH = np.ascontiguousarray(atom_matrix(obs.system).conj().T)
-    rows_i, rows_j = cons.rows
+    rows_i, rows_j = cons.rows_i, cons.rows_j
     S, order = _scatter(np.r_[rows_j, rows_i], np.r_[rows_i, rows_j], obs.system.n_cells)
 
     def grad(V: np.ndarray, MV: np.ndarray, res: np.ndarray, mu: float) -> np.ndarray:
@@ -177,7 +167,7 @@ def _normal_matrix(obs: Observations, cons: PliConstraints):
     M = atom_matrix(obs.system)
     MH, M_conj = np.ascontiguousarray(M.conj().T), np.conj(M)
     n_cells = obs.system.n_cells
-    rows_i, rows_j = cons.rows
+    rows_i, rows_j = cons.rows_i, cons.rows_j
     P, order = _scatter(rows_i, rows_j, n_cells)
 
     def normal(u: np.ndarray) -> np.ndarray:

@@ -86,22 +86,14 @@ def synthesize(spec: SignalSpec) -> np.ndarray:
     return add_noise_snr(x, spec.snr_db, spec.seed)
 
 
-def benchmark_spec(seed: int, snr_db: float = 10.0) -> SignalSpec:
-    """Spec of the default benchmark signal used throughout the test harness."""
-    return SignalSpec(
-        length=128,
-        chirps=((0.0, 0.8), (0.8, 0.6)),
-        dirac_positions=(64,),
-        snr_db=snr_db,
-        seed=seed,
-    )
-
-
 def benchmark_signal(seed: int, snr_db: float = 10.0) -> np.ndarray:
     """Two crossing chirps plus an impulse at sample 64, noise at 10 dB SNR."""
-    return synthesize(benchmark_spec(seed, snr_db))
-
-
-def save_signal_csv(x: np.ndarray, path) -> None:
-    """Write a signal as a single-column CSV with 17 significant digits."""
-    np.savetxt(path, np.asarray(x, dtype=float), fmt="%.17g")
+    return synthesize(
+        SignalSpec(
+            length=128,
+            chirps=((0.0, 0.8), (0.8, 0.6)),
+            dirac_positions=(64,),
+            snr_db=snr_db,
+            seed=seed,
+        )
+    )

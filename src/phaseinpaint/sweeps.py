@@ -144,15 +144,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    for key in ("ratios", "widths", "methods", "pli_points", "pci_points"):
-        if out[key] is not None:
-            out[key] = list(out[key])
-    out["pli"]["penalty_schedule"] = list(out["pli"]["penalty_schedule"])
-    return out
-
-
 def reconstruct(method: str, obs: Observations, trial_seed: int, cfg: ExperimentConfig):
     """Run one method on one observation set; returns (x_hat, converged)."""
     if method == "gli":
@@ -301,7 +292,7 @@ def emit(rows: list[ResultRow], output_dir, cfg: ExperimentConfig) -> dict:
     (output_dir / "curves.csv").write_text("\n".join(curve_lines) + "\n")
 
     (output_dir / "config.json").write_text(
-        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
+        json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n"
     )
     return {
         "results": results_path,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phaseinpaint.gabor import (
-    atom,
+    GaborSystem,
     atom_matrix,
     benchmark_system,
     consistency_projection,
@@ -22,6 +22,19 @@ from phaseinpaint.metrics import error_db
 
 def random_signal(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def atom(sys: GaborSystem, t: int, nu: int) -> np.ndarray:
+    """Gabor atom: window circularly shifted by t*hop, modulated to bin nu."""
+    if not (0 <= t < sys.frames):
+        raise IndexError(f"frame index {t} outside [0, {sys.frames})")
+    if not (0 <= nu < sys.bins):
+        raise IndexError(f"bin index {nu} outside [0, {sys.bins})")
+    n = np.arange(sys.signal_len)
+    w_full = np.zeros(sys.signal_len)
+    w_full[: sys.window.size] = sys.window
+    shifted = np.roll(w_full, t * sys.hop)
+    return shifted * np.exp(2j * np.pi * nu * n / sys.bins)
 
 
 def naive_stft(sys, x):

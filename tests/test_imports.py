@@ -1,17 +1,36 @@
-"""Import-time constraints on the package."""
+"""Import-time constraints on the package and its documented surface."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import phaseinpaint
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+QUICK_START_NAMES = [
+    "GliConfig",
+    "benchmark_signal",
+    "benchmark_system",
+    "error_db",
+    "gli_run",
+    "observe",
+    "random_mask",
+]
+
+
+def _run_python(source: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", source], env=env, capture_output=True, text=True)
+
 
 _SCRIPT = """
 import sys
 import numpy as np
-from phaseinpaint import hann_window, make_gabor_system, observe
-from phaseinpaint.masks import random_mask
+from phaseinpaint import observe, random_mask
+from phaseinpaint.gabor import hann_window, make_gabor_system
 from phaseinpaint.phasecut import pci_solve, phase_cost_matrix
 from phaseinpaint.phaselift import pli_solve
 
@@ -28,6 +47,31 @@ assert "scipy.linalg" not in sys.modules, "scipy.linalg was imported"
 def test_solvers_do_not_load_scipy_linalg():
     # numpy and scipy bundle separate OpenBLAS builds whose thread pools
     # contend, so the solvers keep their dense linear algebra on numpy
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT], env=env, capture_output=True, text=True)
+    proc = _run_python(_SCRIPT)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_root_exports_exactly_the_quick_start_names():
+    assert sorted(phaseinpaint.__all__) == QUICK_START_NAMES
+    assert isinstance(phaseinpaint.__version__, str)
+    assert not hasattr(phaseinpaint, "__getattr__")
+
+
+def test_root_import_loads_no_solver_or_scipy():
+    # pli, pci, the sweeps and scipy load only when their own modules are imported
+    proc = _run_python("import sys, phaseinpaint; print(*sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "phaseinpaint" in loaded
+    heavy = {f"phaseinpaint.{name}" for name in ("phaselift", "phasecut", "sweeps", "cli")}
+    assert sorted(m for m in loaded if m.split(".")[0] == "scipy" or m in heavy) == []
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    proc = _run_python(block)
+    assert proc.returncode == 0, proc.stderr
+    # the quick start prints the reconstruction error in dB
+    assert float(proc.stdout.split()[-1]) < -50.0

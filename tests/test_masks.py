@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from phaseinpaint.masks import hole_mask, load_mask_csv, mask_stats, random_mask, save_mask_csv
+from phaseinpaint.masks import hole_mask, load_mask_csv, random_mask, save_mask_csv
 
 
 class TestRandomMask:
@@ -65,19 +65,6 @@ class TestHoleMask:
             hole_mask(32, 16, 0.3, width=17, seed=0)
         with pytest.raises(ValueError, match="width"):
             hole_mask(32, 16, 0.3, width=0, seed=0)
-
-
-class TestMaskStats:
-    def test_all_ones(self):
-        assert mask_stats(np.ones((32, 16))) == (0, 0.0)
-
-    def test_all_zeros(self):
-        assert mask_stats(np.zeros((32, 16))) == (512, 1.0)
-
-    def test_random_mask_counts(self):
-        missing, ratio = mask_stats(random_mask(32, 16, 0.3, seed=4))
-        assert missing == 154
-        assert ratio == pytest.approx(154 / 512)
 
 
 def test_mask_csv_round_trip(tmp_path):

@@ -63,8 +63,8 @@ class TestBuildConstraints:
         obs = observe(sys_, x, np.zeros((4, 4), dtype=int))
         for mode in ("full", "anchored"):
             cons = build_constraints(obs, mode)
-            assert cons.pair_i.size == 0
-            assert cons.diag_k.size == 16
+            assert cons.n_rows == 16
+            assert np.array_equal(cons.rows_i, cons.rows_j)
 
     def test_anchored_row_counts_at_thirty_percent(self):
         from phaseinpaint.gabor import benchmark_system
@@ -73,20 +73,22 @@ class TestBuildConstraints:
         mask = random_mask(32, 16, 0.3, seed=1)
         obs = observe(benchmark_system(), x, mask)
         cons = build_constraints(obs, "anchored")
-        assert cons.diag_k.size == 154
-        # 358 self pairs plus 357 anchor pairs
-        assert cons.pair_i.size == 358 + 357
+        # 154 missing-cell diagonal rows, 358 self pairs and 357 anchor pairs
+        assert cons.n_rows == 154 + 358 + 357
+        assert np.count_nonzero(cons.rows_i != cons.rows_j) == 357
+        diagonal = cons.rows_i[cons.rows_i == cons.rows_j]
+        assert np.array_equal(np.sort(diagonal), np.arange(512))
 
     def test_full_row_counts(self, tiny_instance):
         _, obs = tiny_instance
         cons = build_constraints(obs, "full")
-        assert cons.pair_i.size == obs.n_known**2
-        assert cons.diag_k.size == obs.n_missing
+        assert cons.n_rows == obs.n_known**2 + obs.n_missing
+        assert np.count_nonzero(cons.rows_i != cons.rows_j) == obs.n_known * (obs.n_known - 1)
 
     def test_pair_targets_conjugate_symmetric(self, tiny_instance):
         _, obs = tiny_instance
         cons = build_constraints(obs, "full")
-        lookup = {(i, j): t for i, j, t in zip(cons.pair_i, cons.pair_j, cons.pair_target)}
+        lookup = {(i, j): t for i, j, t in zip(cons.rows_i, cons.rows_j, cons.targets)}
         for (i, j), t in lookup.items():
             assert lookup[(j, i)] == pytest.approx(np.conj(t), rel=1e-12)
 
@@ -193,7 +195,7 @@ class TestFactorResiduals:
         for mode in ("full", "anchored"):
             cons = build_constraints(obs, mode)
             res = _factor_values(obs, cons, V) - cons.targets
-            rows_i, rows_j = cons.rows
+            rows_i, rows_j = cons.rows_i, cons.rows_j
             S = np.zeros((obs.system.n_cells,) * 2, dtype=complex)
             np.add.at(S, (rows_j, rows_i), np.conj(res))
             gradient = _factor_gradient(obs, cons)
@@ -218,7 +220,7 @@ class TestLevenbergMarquardt:
         rng = np.random.default_rng(10)
         for mode in ("full", "anchored"):
             cons = build_constraints(obs, mode)
-            rows_i, rows_j = cons.rows
+            rows_i, rows_j = cons.rows_i, cons.rows_j
             u = M @ (rng.standard_normal(32) + 1j * rng.standard_normal(32))
             A = np.conj(u[rows_j])[:, None] * M[rows_i]
             B = u[rows_i][:, None] * np.conj(M[rows_j])

@@ -12,7 +12,6 @@ from phaseinpaint.signals import (
     benchmark_signal,
     dirac,
     linear_chirp,
-    save_signal_csv,
     synthesize,
 )
 
@@ -137,11 +136,3 @@ class TestBenchmarkSignal:
             seed=21,
         )
         assert np.array_equal(synthesize(spec), benchmark_signal(seed=21))
-
-
-def test_save_signal_csv_round_trip(tmp_path):
-    x = benchmark_signal(seed=2)
-    path = tmp_path / "sig.csv"
-    save_signal_csv(x, path)
-    back = np.loadtxt(path)
-    assert np.array_equal(back, x)

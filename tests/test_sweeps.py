@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from phaseinpaint.signals import benchmark_signal
 from phaseinpaint.sweeps import (
     ExperimentConfig,
     config_from_dict,
-    config_to_dict,
     emit,
     reconstruct,
     run_hole_sweep,
@@ -42,7 +42,7 @@ def fast_config(**overrides):
 class TestConfig:
     def test_defaults_round_trip(self):
         cfg = ExperimentConfig()
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_from_dict(asdict(cfg)) == cfg
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
