@@ -55,6 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
+    data = {}
     if args.config is not None:
         try:
             data = json.loads(Path(args.config).read_text())
@@ -64,17 +65,12 @@ def _load_config(args) -> ExperimentConfig:
             raise ValueError(f"config file is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise ValueError("config file must contain a JSON object")
-        cfg = config_from_dict(data)
-    else:
-        cfg = ExperimentConfig()
     overrides: dict = {"sweep": "ratio" if args.kind == "ratio" else "hole_width"}
     if args.workers is not None:
         overrides["workers"] = args.workers
     if args.methods is not None:
         overrides["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    cfg = dataclasses.replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    return dataclasses.replace(config_from_dict(data), **overrides)
 
 
 def _cmd_sweep(args) -> int:
@@ -110,6 +106,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "solve" and args.seed < 0:
+            parser.error(f"--seed must be at least 0, got {args.seed}")
     except SystemExit as exc:
         return CONFIG_ERROR if exc.code not in (0, None) else 0
     if args.command == "sweep":

@@ -188,9 +188,9 @@ def _rank_estimate(eigvals: np.ndarray, rel_tol: float = 1e-6) -> int:
     return int(np.count_nonzero(eigvals > rel_tol * top))
 
 
-def _momentum(new, cand, old, t_m: float, t_new: float):
-    """Extrapolation point of the accelerated step: linear in its three arguments."""
-    return new + (t_m / t_new) * (cand - new) + ((t_m - 1.0) / t_new) * (new - old)
+def _momentum(new, old, t_m: float, t_new: float):
+    """Extrapolation point of the accelerated step: linear in its two arguments."""
+    return new + ((t_m - 1.0) / t_new) * (new - old)
 
 
 def _spectrum(V: np.ndarray) -> np.ndarray:
@@ -293,8 +293,8 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
                 # combination, the residual (quadratic in V) is evaluated afresh
                 gain = f_V - f_cand
                 t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_m * t_m))
-                Y = _momentum(cand, cand, V, t_m, t_new)
-                MY = _momentum(M_cand, M_cand, MV, t_m, t_new)
+                Y = _momentum(cand, V, t_m, t_new)
+                MY = _momentum(M_cand, MV, t_m, t_new)
                 res_y = residual(MY)
                 V, MV, res_V, f_V = cand, M_cand, res_c, f_cand
                 t_m = t_new

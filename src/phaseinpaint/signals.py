@@ -7,22 +7,10 @@ fractions of Nyquist: 1.0 is half the sampling rate, 0.5 cycles per sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 _NOISE_STREAM = 0x51C7A1
-
-
-@dataclass(frozen=True)
-class SignalSpec:
-    """Recipe for a chirps-plus-impulses test signal with additive noise."""
-
-    length: int
-    chirps: tuple[tuple[float, float], ...] = ()
-    dirac_positions: tuple[int, ...] = ()
-    snr_db: float = math.inf
-    seed: int = 0
 
 
 def linear_chirp(n_samples: int, f_start: float, f_end: float) -> np.ndarray:
@@ -72,28 +60,7 @@ def add_noise_snr(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     return x + noise
 
 
-def synthesize(spec: SignalSpec) -> np.ndarray:
-    """Sum of all components in ``spec``, then noise at the requested SNR."""
-    if spec.length < 1:
-        raise ValueError("signal length must be >= 1")
-    x = np.zeros(spec.length)
-    for f_start, f_end in spec.chirps:
-        x += linear_chirp(spec.length, f_start, f_end)
-    for pos in spec.dirac_positions:
-        x += dirac(spec.length, pos)
-    if math.isinf(spec.snr_db) and spec.snr_db > 0:
-        return x
-    return add_noise_snr(x, spec.snr_db, spec.seed)
-
-
 def benchmark_signal(seed: int, snr_db: float = 10.0) -> np.ndarray:
     """Two crossing chirps plus an impulse at sample 64, noise at 10 dB SNR."""
-    return synthesize(
-        SignalSpec(
-            length=128,
-            chirps=((0.0, 0.8), (0.8, 0.6)),
-            dirac_positions=(64,),
-            snr_db=snr_db,
-            seed=seed,
-        )
-    )
+    x = linear_chirp(128, 0.0, 0.8) + linear_chirp(128, 0.8, 0.6) + dirac(128, 64)
+    return add_noise_snr(x, snr_db, seed)

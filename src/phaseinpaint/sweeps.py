@@ -39,6 +39,8 @@ DEFAULT_WIDTHS = (1, 3, 5, 7, 9)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Sweep settings; construction rejects any value a sweep cannot run."""
+
     sweep: str = "ratio"
     ratios: tuple[float, ...] = DEFAULT_RATIOS
     widths: tuple[int, ...] = DEFAULT_WIDTHS
@@ -54,7 +56,7 @@ class ExperimentConfig:
     pli: PliConfig = PliConfig()
     pci: PciConfig = PciConfig()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.sweep not in ("ratio", "hole_width"):
             raise ValueError(f"sweep must be 'ratio' or 'hole_width', got {self.sweep!r}")
         for name in (
@@ -85,6 +87,16 @@ class ExperimentConfig:
                 f"pli.constraint_mode must be one of {CONSTRAINT_MODES}, "
                 f"got {self.pli.constraint_mode!r}"
             )
+        for name in ("pli_points", "pci_points"):
+            points = getattr(self, name)
+            if points is not None and not isinstance(points, (tuple, list)):
+                raise ValueError(f"{name} must be null or a list of numbers, got {points!r}")
+            for p in points or ():
+                _check_real(f"{name} entries", p, math.inf)
+        for name in ("methods", "ratios", "widths"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat, got {list(values)}")
 
 
 def _check_int(name: str, value, low: int, high: float = math.inf) -> None:
@@ -113,35 +125,22 @@ class ResultRow:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a validated config from parsed JSON, rejecting unknown keys."""
-    data = dict(data)
-    kwargs: dict = {}
-    nested = {"gli": GliConfig, "pli": PliConfig, "pci": PciConfig}
-    for key, cls in nested.items():
-        if key in data:
-            block = data.pop(key)
-            if not isinstance(block, dict):
+    """Build a config from parsed JSON, rejecting unknown keys."""
+    kwargs = _fields_of(ExperimentConfig, data, "unknown config keys")
+    for key, cls in (("gli", GliConfig), ("pli", PliConfig), ("pci", PciConfig)):
+        if key in kwargs:
+            if not isinstance(kwargs[key], dict):
                 raise ValueError(f"config block {key!r} must be an object")
-            known_fields = {f.name for f in dataclasses.fields(cls)}
-            bad = set(block) - known_fields
-            if bad:
-                raise ValueError(f"unknown keys in {key!r} block: {sorted(bad)}")
-            if "penalty_schedule" in block:
-                block["penalty_schedule"] = tuple(block["penalty_schedule"])
-            kwargs[key] = cls(**block)
-    top_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    bad = set(data) - top_fields
+            kwargs[key] = cls(**_fields_of(cls, kwargs[key], f"unknown keys in {key!r} block"))
+    return ExperimentConfig(**kwargs)
+
+
+def _fields_of(cls, data: dict, message: str) -> dict:
+    """``data`` with JSON arrays as tuples; a key that is no field of ``cls`` is an error."""
+    bad = set(data) - {f.name for f in dataclasses.fields(cls)}
     if bad:
-        raise ValueError(f"unknown config keys: {sorted(bad)}")
-    for key, value in data.items():
-        if key in ("ratios", "widths", "methods"):
-            value = tuple(value)
-        elif key in ("pli_points", "pci_points") and value is not None:
-            value = tuple(value)
-        kwargs[key] = value
-    cfg = ExperimentConfig(**kwargs)
-    cfg.validate()
-    return cfg
+        raise ValueError(f"{message}: {sorted(bad)}")
+    return {key: tuple(v) if isinstance(v, list) else v for key, v in data.items()}
 
 
 def reconstruct(method: str, obs: Observations, trial_seed: int, cfg: ExperimentConfig):
@@ -203,7 +202,6 @@ def _run_point_trial(args) -> list[ResultRow]:
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
-    cfg.validate()
     points = cfg.ratios if cfg.sweep == "ratio" else cfg.widths
     tasks = [(cfg, float(p), trial) for p in points for trial in range(cfg.n_trials)]
     rows: list[ResultRow] = []
@@ -228,10 +226,6 @@ def run_hole_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     return run_sweep(dataclasses.replace(cfg, sweep="hole_width"))
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
-
-
 def summarize(rows: list[ResultRow]) -> list[tuple]:
     """(sweep_param, method, median, min, max, n) per point and method."""
     keys = sorted({(r.sweep_param, r.method) for r in rows})
@@ -252,51 +246,26 @@ def emit(rows: list[ResultRow], output_dir, cfg: ExperimentConfig) -> dict:
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    results_path = output_dir / "results.csv"
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _format_float(r.sweep_param),
-                    r.method,
-                    str(r.trial),
-                    _format_float(r.e_db),
-                    _format_float(r.seconds),
-                    str(r.converged),
-                    str(r.seed),
-                ]
-            )
-        )
-    results_path.write_text("\n".join(lines) + "\n")
-
+    paths = {name: output_dir / f"{name}.csv" for name in ("results", "summary", "curves")}
+    paths["config"] = output_dir / "config.json"
+    _write_csv(paths["results"], CSV_HEADER, map(dataclasses.astuple, rows))
     summary = summarize(rows)
-    summary_lines = ["sweep_param,method,median_e_db,min_e_db,max_e_db,n_trials"]
-    for param, method, med, lo, hi, n in summary:
-        summary_lines.append(
-            f"{_format_float(param)},{method},{_format_float(med)},"
-            f"{_format_float(lo)},{_format_float(hi)},{n}"
-        )
-    (output_dir / "summary.csv").write_text("\n".join(summary_lines) + "\n")
-
-    methods = sorted({r.method for r in rows})
-    params = sorted({r.sweep_param for r in rows})
-    curve_lines = ["sweep_param," + ",".join(methods)]
-    medians = {(param, method): med for param, method, med, _, _, _ in summary}
-    for param in params:
-        cells = [_format_float(param)]
-        for method in methods:
-            med = medians.get((param, method))
-            cells.append("" if med is None else _format_float(med))
-        curve_lines.append(",".join(cells))
-    (output_dir / "curves.csv").write_text("\n".join(curve_lines) + "\n")
-
-    (output_dir / "config.json").write_text(
-        json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n"
+    _write_csv(
+        paths["summary"], "sweep_param,method,median_e_db,min_e_db,max_e_db,n_trials", summary
     )
-    return {
-        "results": results_path,
-        "summary": output_dir / "summary.csv",
-        "curves": output_dir / "curves.csv",
-        "config": output_dir / "config.json",
-    }
+    methods = sorted({r.method for r in rows})
+    medians = {(param, method): med for param, method, med, *_ in summary}
+    curves = [
+        [p, *(medians.get((p, m), "") for m in methods)] for p in sorted({r.sweep_param for r in rows})
+    ]
+    _write_csv(paths["curves"], ",".join(["sweep_param", *methods]), curves)
+    paths["config"].write_text(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n")
+    return paths
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """One line per row: floats as repr(float(v)), every other cell as str(v)."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")

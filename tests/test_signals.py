@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from phaseinpaint.gabor import benchmark_system, stft
-from phaseinpaint.signals import (
-    SignalSpec,
-    add_noise_snr,
-    benchmark_signal,
-    dirac,
-    linear_chirp,
-    synthesize,
-)
+from phaseinpaint.signals import add_noise_snr, benchmark_signal, dirac, linear_chirp
 
 
 def analytic_signal(x):
@@ -126,13 +119,3 @@ class TestBenchmarkSignal:
                 ridge_power.append(power[bin_idx, t])
         ratio = np.mean(ridge_power) / np.median(power)
         assert 10.0 * np.log10(ratio) >= 6.0
-
-    def test_spec_synthesis_matches(self):
-        spec = SignalSpec(
-            length=128,
-            chirps=((0.0, 0.8), (0.8, 0.6)),
-            dirac_positions=(64,),
-            snr_db=10.0,
-            seed=21,
-        )
-        assert np.array_equal(synthesize(spec), benchmark_signal(seed=21))

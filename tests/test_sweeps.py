@@ -1,5 +1,6 @@
 """Sweep harness and CLI contracts."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from phaseinpaint.phaselift import PliConfig, pli_solve
 from phaseinpaint.signals import benchmark_signal
 from phaseinpaint.sweeps import (
     ExperimentConfig,
+    ResultRow,
     config_from_dict,
     emit,
     reconstruct,
@@ -68,6 +70,13 @@ class TestConfig:
     def test_bad_ratio_rejected(self):
         with pytest.raises(ValueError, match="ratios"):
             config_from_dict({"ratios": [0.2, 1.4]})
+
+    def test_construction_checks(self):
+        # a config built in code or by replace is checked like one from JSON
+        with pytest.raises(ValueError, match="n_trials"):
+            ExperimentConfig(n_trials=0)
+        with pytest.raises(ValueError, match="workers"):
+            dataclasses.replace(ExperimentConfig(), workers=0)
 
 
 class TestRatioSweep:
@@ -221,6 +230,33 @@ class TestEmit:
         assert stored["n_trials"] == 2
         assert stored["gli"]["n_iter"] == 50
 
+    def test_table_text(self, tmp_path):
+        rows = [
+            ResultRow(0.1, "gli", 0, -61.25, 0.0, True, 1234),
+            ResultRow(0.1, "gli", 1, -70.5, 0.0, False, 1235),
+            ResultRow(0.1, "rpi", 0, -3.0, 0.0, True, 1234),
+            ResultRow(0.5, "rpi", 0, -1.0, 0.125, True, 1234),
+        ]
+        emit(rows, tmp_path, fast_config())
+        assert (tmp_path / "results.csv").read_text() == (
+            "sweep_param,method,trial,e_db,seconds,converged,seed\n"
+            "0.1,gli,0,-61.25,0.0,True,1234\n"
+            "0.1,gli,1,-70.5,0.0,False,1235\n"
+            "0.1,rpi,0,-3.0,0.0,True,1234\n"
+            "0.5,rpi,0,-1.0,0.125,True,1234\n"
+        )
+        assert (tmp_path / "summary.csv").read_text() == (
+            "sweep_param,method,median_e_db,min_e_db,max_e_db,n_trials\n"
+            "0.1,gli,-65.875,-70.5,-61.25,2\n"
+            "0.1,rpi,-3.0,-3.0,-3.0,1\n"
+            "0.5,rpi,-1.0,-1.0,-1.0,1\n"
+        )
+        assert (tmp_path / "curves.csv").read_text() == (
+            "sweep_param,gli,rpi\n"
+            "0.1,-65.875,-3.0\n"
+            "0.5,,-1.0\n"
+        )
+
     def test_curves_have_method_columns(self, tmp_path):
         cfg = fast_config(ratios=(0.1,))
         rows = run_ratio_sweep(cfg)
@@ -311,6 +347,14 @@ class TestCli:
             {"widths": [20]},
             {"widths": [2.5]},
             {"record_timing": "no"},
+            {"pli_points": ["x"]},
+            {"pci_points": [True]},
+            {"pci_points": 5},
+            {"pli_points": [-0.5]},
+            {"pci_points": [float("nan")]},
+            {"methods": ["gli", "gli"]},
+            {"ratios": [0.1, 0.1]},
+            {"widths": [3, 3]},
         ],
         ids=[
             "n_iter_zero",
@@ -337,6 +381,14 @@ class TestCli:
             "width_too_large",
             "width_fraction",
             "record_timing_text",
+            "pli_points_text",
+            "pci_points_bool",
+            "pci_points_scalar",
+            "pli_points_negative",
+            "pci_points_nan",
+            "methods_repeat",
+            "ratios_repeat",
+            "widths_repeat",
         ],
     )
     def test_bad_solver_value_exits_two(self, tmp_path, capsys, block):
@@ -373,6 +425,15 @@ class TestCli:
 
     def test_solve_missing_dir_exits_two(self, tmp_path):
         assert main(["solve", "--obs", str(tmp_path / "none"), "--method", "gli"]) == 2
+
+    def test_solve_negative_seed_exits_two(self, tmp_path, capsys):
+        obs = observe(benchmark_system(), benchmark_signal(seed=3), random_mask(32, 16, 0.2, seed=3))
+        save_observations(obs, tmp_path / "obs")
+        out = tmp_path / "recon.csv"
+        argv = ["solve", "--obs", str(tmp_path / "obs"), "--method", "rpi", "--out", str(out)]
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "row, message",
