@@ -9,6 +9,7 @@ path to them.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -122,17 +123,25 @@ def load_observations(directory) -> Observations:
 
     The loaded object carries no information beyond what a solver is allowed
     to see: off-mask coefficients come back as zeros. Raises ValueError if
-    sys.json is not an object with integer hop, bins and signal_len, or if a
-    b.csv index is not an integer, lies off the grid, repeats or is off the mask.
+    sys.json is not an object with integer hop, bins and signal_len and a
+    window that is a non-empty list of finite numbers, or if a b.csv index is
+    not an integer, lies off the grid, repeats or is off the mask.
     """
     directory = Path(directory)
     sys_desc = json.loads((directory / "sys.json").read_text())
     sizes = ("hop", "bins", "signal_len")
-    if not isinstance(sys_desc, dict) or any(type(sys_desc.get(k)) is not int for k in sizes):
-        raise ValueError(f"sys.json must be an object with integer {', '.join(sizes)}")
-    system = make_gabor_system(
-        np.asarray(sys_desc["window"], dtype=float), **{k: sys_desc[k] for k in sizes}
-    )
+    window = sys_desc.get("window") if isinstance(sys_desc, dict) else None
+    if (
+        not isinstance(window, list)  # also when sys.json holds no object
+        or any(type(sys_desc.get(k)) is not int for k in sizes)
+        or not window
+        or any(type(v) not in (int, float) or not abs(v) <= sys.float_info.max for v in window)
+    ):
+        raise ValueError(
+            f"sys.json must be an object with integer {', '.join(sizes)} "
+            "and a non-empty list of finite numbers as window"
+        )
+    system = make_gabor_system(np.asarray(window, dtype=float), **{k: sys_desc[k] for k in sizes})
     magnitudes = np.loadtxt(directory / "r.csv", delimiter=",", ndmin=2)
     mask = load_mask_csv(directory / "mask.csv")
     coeffs_flat = np.zeros(system.n_cells, dtype=complex)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,19 +30,21 @@ import scipy.sparse as sp
 from .gabor import atom_matrix, flatten_grid, istft
 from .observe import Observations
 
-_DEFAULT_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-3)
 CONSTRAINT_MODES = ("full", "anchored")
 _WARM_RANK = 4  # columns of V in the warm-up penalty stages
+_WARM_STEPS = 200  # step cap per warm-up stage; LM only needs a good start
 _INIT_SEED = 0x1F7  # seed of the orthonormal starting factor
 
 
 @dataclass(frozen=True)
 class PliConfig:
     constraint_mode: str = "anchored"
-    max_outer: int = 7
-    max_inner: int = 500
-    penalty_schedule: tuple[float, ...] = _DEFAULT_SCHEDULE
-    feas_tol: float = 1e-6
+    # fixed solver constants, readable but not settable: perfbench/tracer.py's
+    # _pli_info reads penalty_schedule[: max_outer], the tests the other two
+    penalty_schedule: ClassVar[tuple[float, ...]] = (1.0, 1e-1, 1e-2, 1e-3)
+    max_outer: ClassVar[int] = 4
+    max_inner: ClassVar[int] = 500  # the LM iteration cap
+    feas_tol: ClassVar[float] = 1e-6
 
 
 @dataclass(frozen=True)
@@ -136,29 +139,16 @@ def _scatter(rows: np.ndarray, cols: np.ndarray, n_cells: int):
     return S, order
 
 
-def _factor_gradient(obs: Observations, cons: PliConstraints):
-    """``grad(V, MV, res, mu)``: the gradient in V of ``||res||^2 + mu * ||V||_F^2``.
+def _operators(obs: Observations, cons: PliConstraints):
+    """``(grad, normal)``: the warm-up gradient and LM's Gauss-Newton matrix.
 
-    ``MV`` is M V and ``res`` the constraint residual at V. The gradient
-    2 (M^H (S + S^H) M V + mu V) costs one sparse and one dense product: one
-    CSR matrix holds conj(res) at (j, i) and res at (i, j) for every row
-    (i, j).
-    """
-    MH = np.ascontiguousarray(atom_matrix(obs.system).conj().T)
-    rows_i, rows_j = cons.rows_i, cons.rows_j
-    S, order = _scatter(np.r_[rows_j, rows_i], np.r_[rows_i, rows_j], obs.system.n_cells)
+    ``grad(V, MV, res, mu)``, with MV = M V and res the constraint residual at
+    V, is the gradient 2 (M^H (S + S^H) M V + mu V) of ``||res||^2 + mu ||V||_F^2``:
+    one sparse and one dense product, one CSR matrix S holding conj(res) at
+    (j, i) and res at (i, j) for every row (i, j).
 
-    def grad(V: np.ndarray, MV: np.ndarray, res: np.ndarray, mu: float) -> np.ndarray:
-        S.data = np.concatenate([np.conj(res), res]).take(order)
-        return 2.0 * (MH @ (S @ MV) + mu * V)
-
-    return grad
-
-
-def _normal_matrix(obs: Observations, cons: PliConstraints):
-    """``normal(u)``: the Gauss-Newton matrix J^T J of the constraint residual at u = M x.
-
-    For x = a + i b, row (i, j) of the residual u_i conj(u_j) - t moves by
+    ``normal(u)`` is J^T J of the constraint residual at u = M x. For
+    x = a + i b, row (i, j) of the residual u_i conj(u_j) - t moves by
     C [da; db] with C = [A + B, i (A - B)], A = diag(conj(u_j)) M[rows_i] and
     B = diag(u_i) conj(M[rows_j]), and J^T J = Re(C^H C) (real, 2n x 2n). Its
     blocks come from A^H A = M^H diag(w_a) M, B^H B = conj(M^H diag(w_b) M)
@@ -168,17 +158,22 @@ def _normal_matrix(obs: Observations, cons: PliConstraints):
     MH, M_conj = np.ascontiguousarray(M.conj().T), np.conj(M)
     n_cells = obs.system.n_cells
     rows_i, rows_j = cons.rows_i, cons.rows_j
-    P, order = _scatter(rows_i, rows_j, n_cells)
+    S, s_order = _scatter(np.r_[rows_j, rows_i], np.r_[rows_i, rows_j], n_cells)
+    P, p_order = _scatter(rows_i, rows_j, n_cells)
+
+    def grad(V: np.ndarray, MV: np.ndarray, res: np.ndarray, mu: float) -> np.ndarray:
+        S.data = np.concatenate([np.conj(res), res]).take(s_order)
+        return 2.0 * (MH @ (S @ MV) + mu * V)
 
     def normal(u: np.ndarray) -> np.ndarray:
         AA = (MH * np.bincount(rows_i, np.abs(u[rows_j]) ** 2, minlength=n_cells)) @ M
         BB = np.conj((MH * np.bincount(rows_j, np.abs(u[rows_i]) ** 2, minlength=n_cells)) @ M)
-        P.data = (u[rows_i] * u[rows_j]).take(order)
+        P.data = (u[rows_i] * u[rows_j]).take(p_order)
         AB = MH @ (P @ M_conj)
         both, herm, cross = AA + BB, AB + AB.conj().T, AA - BB - AB + AB.conj().T
         return np.block([[both + herm, 1j * cross], [-1j * cross.conj().T, both - herm]]).real
 
-    return normal
+    return grad, normal
 
 
 def _rank_estimate(eigvals: np.ndarray, rel_tol: float = 1e-6) -> int:
@@ -229,7 +224,7 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
     if beta == 0.0:
         return LiftedMatrix(factor=np.zeros((n, 1), dtype=complex))
 
-    gradient = _factor_gradient(obs, cons)
+    gradient, normal = _operators(obs, cons)
     sum_r2 = float(np.sum(flatten_grid(obs.magnitudes) ** 2))
     frame_weight = float(np.sum(np.abs(M) ** 2))
     tau0 = max(sum_r2 * n / frame_weight, 1e-300)
@@ -260,7 +255,7 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
         )
         return rel_feas
 
-    for lam in cfg.penalty_schedule[: cfg.max_outer]:
+    for lam in cfg.penalty_schedule:
         mu = lam * beta**2 / tau0
         t0 = time.perf_counter()
         # the incumbent with M V and its constraint residual; within the stage
@@ -270,8 +265,7 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
         f_V = float(np.vdot(res_V, res_V).real) + mu * float(np.vdot(V, V).real)
         Y, MY, res_y, t_m = V, MV, res_V, 1.0
         stall = iterations = evaluations = 0
-        # the warm-up only needs enough accuracy to hand LM a good start
-        for _ in range(min(cfg.max_inner, 200)):
+        for _ in range(_WARM_STEPS):
             iterations += 1
             f_y = float(np.vdot(res_y, res_y).real) + mu * float(np.vdot(Y, Y).real)
             grad = gradient(Y, MY, res_y, mu)
@@ -313,7 +307,6 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
     t0 = time.perf_counter()
     U, s, _ = np.linalg.svd(V, full_matrices=False)
     x = U[:, :1] * s[:1]
-    normal = _normal_matrix(obs, cons)
     Mx = M @ x
     res = residual(Mx)
     f = float(np.vdot(res, res).real)

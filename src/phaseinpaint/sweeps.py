@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -59,9 +60,13 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.sweep not in ("ratio", "hole_width"):
             raise ValueError(f"sweep must be 'ratio' or 'hole_width', got {self.sweep!r}")
-        for name in (
-            "n_trials", "workers", "gli.n_iter", "pli.max_outer", "pli.max_inner", "pci.max_sweeps"
-        ):
+        optional = ("pli_points", "pci_points")
+        for name in ("ratios", "widths", "methods", *optional):
+            values = getattr(self, name)
+            if not (isinstance(values, (tuple, list)) or values is None and name in optional):
+                kind = "null or a list" if name in optional else "a list"
+                raise ValueError(f"{name} must be {kind}, got {values!r}")
+        for name in ("n_trials", "workers", "gli.n_iter", "pci.max_sweeps"):
             _check_int(name, attrgetter(name)(self), 1)
         _check_int("base_seed", self.base_seed, 0)
         system = benchmark_system()
@@ -69,29 +74,21 @@ class ExperimentConfig:
             _check_int("hole width", w, 1, min(system.bins, system.frames))
         for r in (self.fixed_ratio, *self.ratios):
             _check_real("ratios and fixed_ratio", r, 1.0)
-        for name in ("gli.residual_tol", "pli.feas_tol"):
-            _check_real(name, attrgetter(name)(self), math.inf)
-        for v in self.pli.penalty_schedule:
-            _check_real("pli.penalty_schedule entries", v, math.inf)
+        _check_real("gli.residual_tol", self.gli.residual_tol, math.inf)
         if not isinstance(self.record_timing, bool):
             raise ValueError(f"record_timing must be true or false, got {self.record_timing!r}")
-        unknown = set(self.methods) - set(METHODS)
+        unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
+            raise ValueError(f"unknown methods: {unknown}")
         if not self.methods:
             raise ValueError("at least one method must be selected")
-        if not self.pli.penalty_schedule:
-            raise ValueError("pli.penalty_schedule must not be empty")
         if self.pli.constraint_mode not in CONSTRAINT_MODES:
             raise ValueError(
                 f"pli.constraint_mode must be one of {CONSTRAINT_MODES}, "
                 f"got {self.pli.constraint_mode!r}"
             )
-        for name in ("pli_points", "pci_points"):
-            points = getattr(self, name)
-            if points is not None and not isinstance(points, (tuple, list)):
-                raise ValueError(f"{name} must be null or a list of numbers, got {points!r}")
-            for p in points or ():
+        for name in optional:
+            for p in getattr(self, name) or ():
                 _check_real(f"{name} entries", p, math.inf)
         for name in ("methods", "ratios", "widths"):
             values = getattr(self, name)
@@ -109,7 +106,7 @@ def _check_real(name: str, value, high: float) -> None:
     """Reject anything but a finite non-bool real number in [0, high]."""
     if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value <= high:
         raise ValueError(f"{name} must lie in [0, {high}], got {value!r}")
-    if not math.isfinite(value):
+    if not value <= sys.float_info.max:  # inf, or an int too large for a float
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 

@@ -10,9 +10,8 @@ from phaseinpaint.observe import observe
 from phaseinpaint.phaselift import (
     LiftedMatrix,
     PliConfig,
-    _factor_gradient,
     _momentum,
-    _normal_matrix,
+    _operators,
     _rank_estimate,
     _row_products,
     _spectrum,
@@ -176,7 +175,7 @@ class TestFactorResiduals:
         h = 1e-5
         for mode in ("full", "anchored"):
             cons = build_constraints(obs, mode)
-            gradient = _factor_gradient(obs, cons)
+            gradient, _ = _operators(obs, cons)
 
             def objective(W, mu):
                 res = _factor_values(obs, cons, W) - cons.targets
@@ -202,7 +201,7 @@ class TestFactorResiduals:
             rows_i, rows_j = cons.rows_i, cons.rows_j
             S = np.zeros((obs.system.n_cells,) * 2, dtype=complex)
             np.add.at(S, (rows_j, rows_i), np.conj(res))
-            gradient = _factor_gradient(obs, cons)
+            gradient, _ = _operators(obs, cons)
             for mu in (0.0, 0.7):
                 dense = 2.0 * (M.conj().T @ ((S + S.conj().T) @ (M @ V)) + mu * V)
                 merged = gradient(V, M @ V, res, mu)
@@ -230,7 +229,8 @@ class TestLevenbergMarquardt:
             B = u[rows_i][:, None] * np.conj(M[rows_j])
             C = np.hstack([A + B, 1j * (A - B)])
             explicit = (C.conj().T @ C).real
-            assembled = _normal_matrix(obs, cons)(u)
+            _, normal = _operators(obs, cons)
+            assembled = normal(u)
             assert np.linalg.norm(assembled - explicit) <= 1e-12 * np.linalg.norm(explicit)
 
     def test_step_from_perturbed_signal_lowers_residual(self, medium_instance):
@@ -243,8 +243,9 @@ class TestLevenbergMarquardt:
             cons = build_constraints(obs, mode)
             z = (x + 1e-3 * (rng.standard_normal(32) + 1j * rng.standard_normal(32)))[:, None]
             res = _factor_values(obs, cons, z) - cons.targets
-            g = 0.5 * _factor_gradient(obs, cons)(z, M @ z, res, 0.0)
-            JTJ = _normal_matrix(obs, cons)((M @ z)[:, 0])
+            gradient, normal = _operators(obs, cons)
+            g = 0.5 * gradient(z, M @ z, res, 0.0)
+            JTJ = normal((M @ z)[:, 0])
             delta = np.linalg.solve(JTJ + np.diag(1e-3 * JTJ.diagonal()), -np.r_[g.real, g.imag])
             stepped = z + delta[:32] + 1j * delta[32:]
             res_new = _factor_values(obs, cons, stepped) - cons.targets

@@ -78,6 +78,29 @@ class TestConfig:
         with pytest.raises(ValueError, match="workers"):
             dataclasses.replace(ExperimentConfig(), workers=0)
 
+    @pytest.mark.parametrize(
+        "case, field",
+        [
+            ({"ratios": 5}, "ratios"),
+            ({"widths": 3}, "widths"),
+            ({"methods": "gli"}, "methods"),
+            ({"methods": [["gli"]]}, "methods"),
+            ({"pci_points": 5}, "pci_points"),
+        ],
+        ids=["ratios_scalar", "widths_scalar", "methods_text", "methods_nested", "pci_points_scalar"],
+    )
+    def test_list_field_needs_list(self, case, field):
+        with pytest.raises(ValueError, match=field):
+            config_from_dict(case)
+
+    def test_pli_constants_not_settable(self):
+        # the warm-up schedule, step caps and tolerance are solver constants
+        assert [f.name for f in dataclasses.fields(PliConfig)] == ["constraint_mode"]
+        with pytest.raises(TypeError):
+            PliConfig(feas_tol=1e-8)
+        with pytest.raises(ValueError, match="unknown keys in 'pli' block"):
+            config_from_dict({"pli": {"penalty_schedule": [1.0]}})
+
 
 class TestRatioSweep:
     def test_zero_ratio_every_method_exact(self):
@@ -229,6 +252,7 @@ class TestEmit:
         stored = json.loads((tmp_path / "config.json").read_text())
         assert stored["n_trials"] == 2
         assert stored["gli"]["n_iter"] == 50
+        assert stored["pli"] == {"constraint_mode": "anchored"}
 
     def test_table_text(self, tmp_path):
         rows = [
@@ -471,8 +495,19 @@ class TestCli:
             lambda desc: {**desc, "bins": float(desc["bins"])},
             lambda desc: {**desc, "bins": str(desc["bins"])},
             lambda desc: {**desc, "hop": True},
+            lambda desc: {**desc, "window": {"a": 1}},
+            lambda desc: {**desc, "window": [[1, 2], [3, 4]]},
         ],
-        ids=["list", "hop_null", "signal_len_fraction", "bins_float", "bins_text", "hop_bool"],
+        ids=[
+            "list",
+            "hop_null",
+            "signal_len_fraction",
+            "bins_float",
+            "bins_text",
+            "hop_bool",
+            "window_object",
+            "window_nested",
+        ],
     )
     def test_solve_bad_sys_json_exits_two(self, tmp_path, capsys, edit):
         obs = observe(benchmark_system(), benchmark_signal(seed=3), random_mask(32, 16, 0.2, seed=3))
