@@ -78,11 +78,9 @@ def make_gabor_system(window, hop: int, bins: int, signal_len: int) -> GaborSyst
             "operator stays diagonal"
         )
     frames = signal_len // hop
-    cover = np.zeros(signal_len)
-    wsq = np.zeros(signal_len)
-    wsq[: w.size] = w * w
-    for t in range(frames):
-        cover += np.roll(wsq, t * hop)
+    # The hop-shifted copies of w^2 tile the signal, so sample n is covered by
+    # the squared window samples j = n (mod hop): a fold, not a sum over frames.
+    cover = np.bincount(np.arange(w.size) % hop, weights=w * w, minlength=hop)
     if np.min(cover) <= 0.0:
         raise ValueError("window shifts leave at least one sample uncovered")
     w = w.copy()

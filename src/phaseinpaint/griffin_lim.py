@@ -4,8 +4,17 @@ Each iteration projects onto the set of realizable coefficient grids
 (analysis of some signal) and then onto the measurement set (observed
 magnitudes everywhere, observed phases where the mask is 1). The latter
 never changes a known cell, so the known cells' share of the former is
-computed once per solve. The distance between the two projections never
-increases, which is asserted in tests.
+computed once per solve, and an iteration takes the phases of the missing
+cells only and writes them back into the grid in place. The distance
+between the two projections never increases, which is asserted in tests.
+
+:func:`clamp` is the full-grid measurement projection and the reference the
+tests replay bit for bit. On 2 cores with 2 BLAS threads, an iteration of
+the 80 reference solves (seeds 1234-1243, hole widths 3/5/7/9 at ratio 0.3,
+random masks at ratios 0.1/0.3/0.5/0.6) takes 65-70 us against 75-95 us
+with a full-grid ``clamp`` per iteration, and the benchmark's ``holes``
+workload completes a median of 11.1 instances/s against 8.9
+(``BENCH_16.json``).
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gabor import consistency_projection, flatten_grid, istft, range_projector, unflatten_grid
+from .gabor import consistency_projection, istft, range_projector, unflatten_grid
 from .observe import Observations
 
 _INIT_STREAM = 0x611A
@@ -64,14 +73,20 @@ def gli_run(obs: Observations, cfg: GliConfig = GliConfig(), seed: int = 0) -> G
     y = obs.magnitudes * np.exp(1j * phase)
     # P y = P[:, known] y_known + P[:, free] y_free, and y_known never changes.
     free = obs.missing_flat_indices()
+    cells = np.unravel_index(free, obs.mask.shape, order="F")
     z_known = consistency_projection(system, np.where(obs.mask == 1, y, 0))
     p_free = np.ascontiguousarray(range_projector(system)[:, free])  # C order: BLAS path of P @ y
+    mag_free, y_free = obs.magnitudes[cells], y[cells]
+    # clamp sets the known cells once; its memory layout fixes the summation
+    # order of the residual's norm, so y keeps it and changes in place.
+    y = clamp(z_known, obs)
     trace: list[float] = []
     prev_res = None
     converged = False
     for _ in range(cfg.n_iter):
-        z = z_known + unflatten_grid(system, p_free @ flatten_grid(y)[free])
-        y = clamp(z, obs)
+        z = z_known + unflatten_grid(system, p_free @ y_free)
+        y_free = mag_free * np.exp(1j * np.angle(z[cells]))
+        y[cells] = y_free
         res = float(np.linalg.norm(y - z))
         trace.append(res)
         if prev_res is not None and abs(prev_res - res) < cfg.residual_tol:

@@ -37,14 +37,16 @@ class Observations:
         shape = (system.bins, system.frames)
         if coeffs.shape != shape:
             raise ValueError(f"coefficients must have shape {shape}, got {coeffs.shape}")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must be finite")
+        with np.errstate(over="ignore"):
+            moduli = np.abs(coeffs)  # inf for finite coefficients near the top of the range
+        if not np.all(np.isfinite(moduli)):
+            raise ValueError("coefficients must be finite, and so must their magnitudes")
         if mask.shape != shape:
             raise ValueError(f"mask must have shape {shape}, got {mask.shape}")
         if not np.all((mask == 0) | (mask == 1)):
             raise ValueError("mask entries must be 0 or 1")
         if magnitudes is None:
-            magnitudes = np.abs(coeffs)
+            magnitudes = moduli
         else:
             magnitudes = np.asarray(magnitudes, dtype=float)
             if magnitudes.shape != shape:
@@ -55,7 +57,7 @@ class Observations:
                 raise ValueError("magnitudes must be nonnegative")
             on_support = mask == 1
             if not np.allclose(
-                magnitudes[on_support], np.abs(coeffs[on_support]), rtol=1e-12, atol=1e-12
+                magnitudes[on_support], moduli[on_support], rtol=1e-12, atol=1e-12
             ):
                 raise ValueError("magnitudes disagree with |coefficients| on the mask support")
         self.system = system

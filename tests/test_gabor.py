@@ -1,5 +1,7 @@
 """Analysis/synthesis operator contracts."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,40 @@ class TestMakeGaborSystem:
         # a one-sample window hopping by 2 misses every odd sample
         with pytest.raises(ValueError, match="uncovered"):
             make_gabor_system(np.array([1.0]), hop=2, bins=1, signal_len=8)
+
+    @pytest.mark.parametrize(
+        "window, hop, signal_len",
+        [
+            (hann_window(4), 2, 8),
+            (hann_window(16), 8, 128),
+            (np.array([1.0, 0.5, 0.25]), 1, 5),
+            (np.array([0.0, 1.0, 0.0, 1.0, 3.0]), 2, 10),
+            (np.array([1.0]), 2, 8),  # odd samples uncovered
+            (hann_window(4), 4, 8),  # w[0] = 0 leaves every fourth sample
+            (np.array([1.0, 0.0, 2.0]), 3, 12),  # the middle tap is zero
+        ],
+    )
+    def test_coverage_fold_matches_roll_sum(self, window, hop, signal_len):
+        # the check folds w^2 modulo hop; the sum of hop-shifted copies of
+        # w^2 over the whole signal is that fold repeated frames times
+        frames = signal_len // hop
+        wsq = np.zeros(signal_len)
+        wsq[: window.size] = window * window
+        roll_sum = sum(np.roll(wsq, t * hop) for t in range(frames))
+        fold = np.bincount(np.arange(window.size) % hop, weights=window * window, minlength=hop)
+        assert np.allclose(np.tile(fold, frames), roll_sum, rtol=1e-15, atol=0.0)
+        if np.min(roll_sum) > 0.0:
+            assert make_gabor_system(window, hop, window.size, signal_len).frames == frames
+        else:
+            with pytest.raises(ValueError, match="uncovered"):
+                make_gabor_system(window, hop, window.size, signal_len)
+
+    def test_long_signal_with_unit_hop_builds_fast(self):
+        # one np.roll per frame would take minutes here; the fold is linear
+        start = time.perf_counter()
+        sys_ = make_gabor_system(hann_window(4), hop=1, bins=4, signal_len=10**6)
+        assert time.perf_counter() - start < 1.0
+        assert sys_.frames == 10**6
 
 
 class TestAtom:

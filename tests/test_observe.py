@@ -71,6 +71,12 @@ class TestObserve:
         with pytest.raises(ValueError, match="coefficients must be finite"):
             Observations(obs.system, coeffs, obs.mask)
 
+    def test_finite_coefficients_with_infinite_magnitude_rejected(self):
+        sys_ = benchmark_system()
+        coeffs = np.full((32, 16), 1.5e308 + 1.5e308j)  # |c| overflows to inf
+        with pytest.raises(ValueError, match="finite"):
+            Observations(sys_, coeffs, np.ones((32, 16), dtype=int))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_magnitudes_rejected(self, benchmark_obs, bad):
         # a missing cell, where no coefficient cross-checks the magnitude
