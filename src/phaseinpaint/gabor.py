@@ -80,8 +80,12 @@ def make_gabor_system(window, hop: int, bins: int, signal_len: int) -> GaborSyst
     frames = signal_len // hop
     # The hop-shifted copies of w^2 tile the signal, so sample n is covered by
     # the squared window samples j = n (mod hop): a fold, not a sum over frames.
-    cover = np.bincount(np.arange(w.size) % hop, weights=w * w, minlength=hop)
-    if np.min(cover) <= 0.0:
+    # A hop longer than the window leaves gaps; testing that first keeps the
+    # fold at most len(w) entries long.
+    covered = hop <= w.size and np.all(
+        np.bincount(np.arange(w.size) % hop, weights=w * w, minlength=hop) > 0.0
+    )
+    if not covered:
         raise ValueError("window shifts leave at least one sample uncovered")
     w = w.copy()
     w.setflags(write=False)

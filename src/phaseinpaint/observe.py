@@ -126,8 +126,9 @@ def load_observations(directory) -> Observations:
     The loaded object carries no information beyond what a solver is allowed
     to see: off-mask coefficients come back as zeros. Raises ValueError if
     sys.json is not an object with integer hop, bins and signal_len and a
-    window that is a non-empty list of finite numbers, or if a b.csv index is
-    not an integer, lies off the grid, repeats or is off the mask.
+    window that is a non-empty list of finite numbers, if r.csv or mask.csv
+    is not bins x frames, or if a b.csv index is not an integer, lies off
+    the grid, repeats or is off the mask.
     """
     directory = Path(directory)
     sys_desc = json.loads((directory / "sys.json").read_text())
@@ -144,8 +145,13 @@ def load_observations(directory) -> Observations:
             "and a non-empty list of finite numbers as window"
         )
     system = make_gabor_system(np.asarray(window, dtype=float), **{k: sys_desc[k] for k in sizes})
+    # the declared grid is allocated only once the files agree with it
+    shape = (system.bins, system.frames)
     magnitudes = np.loadtxt(directory / "r.csv", delimiter=",", ndmin=2)
     mask = load_mask_csv(directory / "mask.csv")
+    for name, grid in (("r.csv", magnitudes), ("mask.csv", mask)):
+        if grid.shape != shape:
+            raise ValueError(f"{name} must have sys.json's bins x frames {shape}, got {grid.shape}")
     coeffs_flat = np.zeros(system.n_cells, dtype=complex)
     indices: set[int] = set()
     text = (directory / "b.csv").read_text().strip().splitlines()

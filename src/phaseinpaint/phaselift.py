@@ -6,21 +6,22 @@ phase-known cells give linear constraints on its off-diagonal entries, and
 the trace of L is driven down by a continuation of penalty weights.
 
 The solver descends on a thin factor V (n x 4) of L = V V^H (Burer &
-Monteiro 2003): L is PSD by construction and trace(L) = ||V||_F^2. Every
-factor a step holds carries its product with M, so a step costs two dense
-products (M grad and M^H W) and one sparse one. A step that does not
-improve on the incumbent restarts the momentum from the incumbent (adaptive
-restart, O'Donoghue & Candes 2015). After this warm-up, Levenberg-Marquardt
-fits the constraints with a rank-one factor x, the leading singular
-direction of V (Gauss-Newton for phaseless data: Gao & Xu 2017). No n x n
-matrix is formed: the solver returns x, a fresh M V at each stage end gives
-``feas_residual`` and ``converged``, and the diagnostics come from the
-singular values of the factor.
+Monteiro 2003): L is PSD by construction and trace(L) = ||V||_F^2. Each
+warm-up stage takes limited-memory BFGS steps on V (Liu & Nocedal 1989),
+as Burer & Monteiro did; V carries its product with M, and the candidates
+of a line search are formed by linearity from M V and M d, so a step costs
+two dense products (M d and M^H W) and one sparse one. After this warm-up,
+Levenberg-Marquardt fits the constraints with a rank-one factor x, the
+leading singular direction of V (Gauss-Newton for phaseless data: Gao &
+Xu 2017). No n x n matrix is formed: the solver returns x, a fresh M V at
+each stage end gives ``feas_residual`` and ``converged``, and the
+diagnostics come from the singular values of the factor.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -34,6 +35,7 @@ CONSTRAINT_MODES = ("full", "anchored")
 _WARM_RANK = 4  # columns of V in the warm-up penalty stages
 _WARM_STEPS = 200  # step cap per warm-up stage; LM only needs a good start
 _INIT_SEED = 0x1F7  # seed of the orthonormal starting factor
+_LBFGS_MEMORY = 10  # (s, y) pairs kept; 5 lost a hole instance
 
 
 @dataclass(frozen=True)
@@ -183,9 +185,34 @@ def _rank_estimate(eigvals: np.ndarray, rel_tol: float = 1e-6) -> int:
     return int(np.count_nonzero(eigvals > rel_tol * top))
 
 
-def _momentum(new, old, t_m: float, t_new: float):
-    """Extrapolation point of the accelerated step: linear in its two arguments."""
-    return new + ((t_m - 1.0) / t_new) * (new - old)
+def _store_pair(memory: deque, s: np.ndarray, y: np.ndarray) -> None:
+    """Keep the step s and gradient change y (flat, real) if their curvature is positive.
+
+    The objective is quartic in V, so s.y can be negative; such a pair
+    would make the inverse Hessian indefinite and is dropped.
+    """
+    sy = float(np.dot(s, y))
+    if sy > 1e-12 * float(np.dot(y, y)):
+        memory.append((s, y, 1.0 / sy))
+
+
+def _lbfgs_direction(memory: deque, g: np.ndarray) -> np.ndarray:
+    """-H g by the two-loop recursion (Nocedal & Wright 2006, Alg. 7.4).
+
+    H is the BFGS inverse Hessian built from the stored pairs, oldest first,
+    on H0 = (s.y / y.y) I of the newest pair; memory must not be empty.
+    """
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        a = rho * float(np.dot(s, q))
+        q -= a * y
+        alphas.append(a)
+    _, y_new, rho_new = memory[-1]
+    q *= 1.0 / (rho_new * float(np.dot(y_new, y_new)))
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
+        q += (a - rho * float(np.dot(y, q))) * s
+    return -q
 
 
 def _spectrum(V: np.ndarray) -> np.ndarray:
@@ -196,11 +223,14 @@ def _spectrum(V: np.ndarray) -> np.ndarray:
 def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
     """Minimize the trace over the PSD matrices matching the observations.
 
-    Runs accelerated gradient descent on the factor V of L = V V^H for
-    ``||A(V V^H) - targets||^2 + mu * ||V||_F^2`` over a decreasing schedule
-    of penalty weights, warm-starting each stage from the previous one, then
-    Levenberg-Marquardt on ``||A(x x^H) - targets||^2`` (one damped solve and
-    one candidate per iteration) from the leading singular direction x of V.
+    Runs limited-memory BFGS with Armijo backtracking on the factor V of
+    L = V V^H for ``||A(V V^H) - targets||^2 + mu * ||V||_F^2`` over a
+    decreasing schedule of penalty weights, warm-starting each stage from
+    the previous one with an empty memory, then Levenberg-Marquardt on
+    ``||A(x x^H) - targets||^2`` (one damped solve and one candidate per
+    iteration) from the leading singular direction x of V. A stage's
+    ``iterations`` count its steps and its ``projections`` the candidates
+    its line searches evaluated.
     Returns x (n x 1) with its relative constraint residual and the stage
     log; ``converged`` is False if the feasibility tolerance was not reached.
     """
@@ -235,7 +265,7 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
     rng = np.random.default_rng(_INIT_SEED)
     Q, _ = np.linalg.qr(rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
     V = Q * np.sqrt(tau0 / rank)
-    step = 1.0 / max(frame_weight * tau0, 1.0)
+    step = 1.0 / max(frame_weight * tau0, 1.0)  # steepest-descent step with no memory
     stage_log: list[dict] = []
     stall_tol = 1e-15 * beta * beta
 
@@ -258,46 +288,40 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
     for lam in cfg.penalty_schedule:
         mu = lam * beta**2 / tau0
         t0 = time.perf_counter()
-        # the incumbent with M V and its constraint residual; within the stage
-        # M V follows V by linearity
+        # the incumbent with M V and its gradient; within the stage M V follows
+        # V by linearity, the residual (quadratic in V) is evaluated afresh
         MV = M @ V
-        res_V = residual(MV)
-        f_V = float(np.vdot(res_V, res_V).real) + mu * float(np.vdot(V, V).real)
-        Y, MY, res_y, t_m = V, MV, res_V, 1.0
+        res = residual(MV)
+        f_V = float(np.vdot(res, res).real) + mu * float(np.vdot(V, V).real)
+        grad = gradient(V, MV, res, mu)
+        memory: deque = deque(maxlen=_LBFGS_MEMORY)  # mu changed the objective
         stall = iterations = evaluations = 0
         for _ in range(_WARM_STEPS):
             iterations += 1
-            f_y = float(np.vdot(res_y, res_y).real) + mu * float(np.vdot(Y, Y).real)
-            grad = gradient(Y, MY, res_y, mu)
-            M_grad = M @ grad
-            grad_sq = float(np.vdot(grad, grad).real)
+            # the pairs and the direction live on the float view of the factor,
+            # where Re vdot is a plain dot
+            g = grad.reshape(-1).view(np.float64)
+            d, alpha = (_lbfgs_direction(memory, g), 1.0) if memory else (-g, step)
+            D = d.view(complex).reshape(V.shape)
+            MD = M @ D
+            slope = float(np.dot(g, d))
             while True:
-                cand = Y - step * grad
-                M_cand = MY - step * M_grad
                 evaluations += 1
+                cand, M_cand = V + alpha * D, MV + alpha * MD
                 res_c = residual(M_cand)
-                f_cand = float(np.vdot(res_c, res_c).real) + mu * float(np.vdot(cand, cand).real)
-                # against the quadratic upper bound along the step, f_y - (step/2) ||grad||^2
-                bound = f_y - 0.5 * step * grad_sq + 1e-12 * max(1.0, abs(f_y))
-                if f_cand <= bound or step < 1e-30:
+                f_c = float(np.vdot(res_c, res_c).real) + mu * float(np.vdot(cand, cand).real)
+                if f_c <= f_V + 1e-4 * alpha * slope:  # Armijo
+                    grad_c = gradient(cand, M_cand, res_c, mu)
+                    _store_pair(memory, alpha * d, grad_c.reshape(-1).view(np.float64) - g)
+                    gain = f_V - f_c
+                    V, MV, f_V, grad = cand, M_cand, f_c, grad_c
                     break
-                step *= 0.5
-            if f_cand < f_V:
-                # a better candidate is the new incumbent; M Y is the same
-                # combination, the residual (quadratic in V) is evaluated afresh
-                gain = f_V - f_cand
-                t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_m * t_m))
-                Y = _momentum(cand, V, t_m, t_new)
-                MY = _momentum(M_cand, MV, t_m, t_new)
-                res_y = residual(MY)
-                V, MV, res_V, f_V = cand, M_cand, res_c, f_cand
-                t_m = t_new
-            else:
-                # restart: drop the momentum and step again from the incumbent,
-                # whose residual is cached
-                gain = 0.0
-                Y, MY, res_y, t_m = V, MV, res_V, 1.0
-            step *= 1.1
+                alpha *= 0.5
+                if alpha < 1e-30:
+                    # no decrease along d: keep the incumbent, start the memory over
+                    gain = 0.0
+                    memory.clear()
+                    break
             stall = stall + 1 if gain <= stall_tol + 1e-9 * abs(f_V) else 0
             if stall >= 5:
                 break

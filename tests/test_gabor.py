@@ -1,6 +1,7 @@
 """Analysis/synthesis operator contracts."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,18 @@ class TestMakeGaborSystem:
         # a one-sample window hopping by 2 misses every odd sample
         with pytest.raises(ValueError, match="uncovered"):
             make_gabor_system(np.array([1.0]), hop=2, bins=1, signal_len=8)
+
+    @pytest.mark.parametrize("hop", [2**20, 2**70])
+    def test_hop_longer_than_window_rejected_before_fold(self, hop):
+        # the fold would hold hop entries: 8 MB at 2^20, past int64 at 2^70
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="uncovered"):
+                make_gabor_system(hann_window(16), hop=hop, bins=16, signal_len=hop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
     @pytest.mark.parametrize(
         "window, hop, signal_len",

@@ -1,5 +1,8 @@
 """Observation model contracts and serialization."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -131,3 +134,29 @@ class TestSerialization:
         save_observations(obs, tmp_path / "obs")
         lines = (tmp_path / "obs" / "b.csv").read_text().strip().splitlines()
         assert len(lines) - 1 == obs.n_known
+
+    def test_declared_grid_checked_before_allocation(self, benchmark_obs, tmp_path):
+        # sys.json declares 16 x 2^20 cells (256 MB as a complex grid) over
+        # the saved 32 x 16 r.csv and mask.csv
+        _, obs = benchmark_obs
+        save_observations(obs, tmp_path / "obs")
+        sys_json = tmp_path / "obs" / "sys.json"
+        desc = {"window": [1.0] * 16, "hop": 1, "bins": 16, "signal_len": 2**20}
+        sys_json.write_text(json.dumps(desc))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="r.csv must have sys.json's bins x frames"):
+                load_observations(tmp_path / "obs")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_mask_shape_checked_against_declared_grid(self, benchmark_obs, tmp_path):
+        _, obs = benchmark_obs
+        save_observations(obs, tmp_path / "obs")
+        mask_csv = tmp_path / "obs" / "mask.csv"
+        rows = mask_csv.read_text().splitlines()
+        mask_csv.write_text("\n".join(row.rsplit(",", 1)[0] for row in rows) + "\n")
+        with pytest.raises(ValueError, match=r"mask.csv must have .* \(32, 16\), got \(32, 15\)"):
+            load_observations(tmp_path / "obs")

@@ -1,5 +1,7 @@
 """Lifted-relaxation solver contracts on small instances."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,12 @@ from phaseinpaint.observe import observe
 from phaseinpaint.phaselift import (
     LiftedMatrix,
     PliConfig,
-    _momentum,
+    _lbfgs_direction,
     _operators,
     _rank_estimate,
     _row_products,
     _spectrum,
+    _store_pair,
     build_constraints,
     extract_signal,
     pli_solve,
@@ -138,34 +141,26 @@ class TestFactorResiduals:
             err = np.linalg.norm(_factor_values(obs, cons, F) - dense)
             assert err <= 1e-10 * np.linalg.norm(dense)
 
-    def test_extrapolated_residual_by_linearity(self, medium_instance):
-        # the momentum point's residual is the same combination of residuals
-        # when the lifts are extrapolated, but not when their factors are, so
-        # pli evaluates it afresh at the extrapolated factor; M Y, being
-        # linear in the factor, is the same combination of the M V, which is
-        # how pli carries it
+    def test_line_search_candidate_by_linearity(self, medium_instance):
+        # M (V + a d) is MV + a M d, which is how pli carries a line-search
+        # candidate's product with M; the candidate's residual is not the same
+        # combination of the residuals at the endpoints V and V + d (it is
+        # quadratic in the factor), so pli evaluates it afresh
         _, obs = medium_instance
         M = atom_matrix(obs.system)
         cons = build_constraints(obs, "full")
         rng = np.random.default_rng(4)
-        factors = [rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3)) for _ in range(2)]
-        residuals = [_factor_values(obs, cons, F) - cons.targets for F in factors]
-
-        for t_m in (1.0, 2.5, 40.0):
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_m * t_m))
-            Y = _momentum(*(F @ F.conj().T for F in factors), t_m, t_new)
-            dense = constraint_values(obs, cons, Y) - cons.targets
-            by_linearity = _momentum(*residuals, t_m, t_new)
-            assert np.linalg.norm(by_linearity - dense) <= 1e-10 * np.linalg.norm(dense)
-            V_y = _momentum(*factors, t_m, t_new)
-            if t_m == 1.0:
-                # no extrapolation at the first step: the point is the new factor
-                assert np.array_equal(V_y, factors[0])
-            else:
-                at_factor = _factor_values(obs, cons, V_y) - cons.targets
-                assert np.linalg.norm(by_linearity - at_factor) >= 1e-2 * np.linalg.norm(at_factor)
-            MY = _momentum(*(M @ F for F in factors), t_m, t_new)
-            assert np.linalg.norm(MY - M @ V_y) <= 1e-12 * np.linalg.norm(M @ V_y)
+        V, D = (rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3)) for _ in range(2))
+        MV, MD = M @ V, M @ D
+        res_V = _factor_values(obs, cons, V) - cons.targets
+        res_end = _factor_values(obs, cons, V + D) - cons.targets
+        for alpha in (1e-3, 0.25, 0.5, 1.0):
+            cand = V + alpha * D
+            assert np.linalg.norm(MV + alpha * MD - M @ cand) <= 1e-12 * np.linalg.norm(M @ cand)
+            if alpha in (0.25, 0.5):
+                at_cand = _factor_values(obs, cons, cand) - cons.targets
+                combined = (1.0 - alpha) * res_V + alpha * res_end
+                assert np.linalg.norm(combined - at_cand) >= 1e-2 * np.linalg.norm(at_cand)
 
     def test_gradient_matches_central_differences(self, medium_instance):
         _, obs = medium_instance
@@ -212,6 +207,67 @@ class TestFactorResiduals:
         V = rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3))
         dense = np.linalg.eigvalsh(V @ V.conj().T)[-3:]
         assert np.allclose(_spectrum(V), dense, rtol=1e-12, atol=1e-12 * dense[-1])
+
+
+class TestLbfgsDirection:
+    @staticmethod
+    def _explicit_bfgs(pairs, dim):
+        # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T from H0 = gamma I,
+        # gamma = s.y / y.y of the newest pair
+        s_new, y_new = pairs[-1]
+        H = (s_new @ y_new) / (y_new @ y_new) * np.eye(dim)
+        for s, y in pairs:
+            rho = 1.0 / (s @ y)
+            left = np.eye(dim) - rho * np.outer(s, y)
+            H = left @ H @ left.T + rho * np.outer(s, s)
+        return H
+
+    @staticmethod
+    def _pairs(rng, count, dim):
+        pairs = []
+        while len(pairs) < count:
+            s = rng.standard_normal(dim)
+            y = s + 0.5 * rng.standard_normal(dim)  # mostly positive curvature
+            if s @ y > 0.0:
+                pairs.append((s, y))
+        return pairs
+
+    def test_two_loop_matches_explicit_inverse_hessian(self):
+        rng = np.random.default_rng(12)
+        dim = 7
+        for n_pairs in (1, 3, 10):
+            pairs = self._pairs(rng, n_pairs, dim)
+            memory = deque(maxlen=10)
+            for s, y in pairs:
+                _store_pair(memory, s, y)
+            g = rng.standard_normal(dim)
+            expected = -self._explicit_bfgs(pairs, dim) @ g
+            d = _lbfgs_direction(memory, g)
+            assert np.linalg.norm(d - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert d @ g < 0.0  # a descent direction
+            assert not np.shares_memory(d, g)
+
+    def test_memory_keeps_newest_pairs(self):
+        rng = np.random.default_rng(13)
+        pairs = self._pairs(rng, 5, 4)
+        memory = deque(maxlen=3)
+        for s, y in pairs:
+            _store_pair(memory, s, y)
+        g = rng.standard_normal(4)
+        expected = -self._explicit_bfgs(pairs[-3:], 4) @ g
+        d = _lbfgs_direction(memory, g)
+        assert np.linalg.norm(d - expected) <= 1e-12 * np.linalg.norm(expected)
+        all_five = -self._explicit_bfgs(pairs, 4) @ g
+        assert np.linalg.norm(d - all_five) >= 1e-3 * np.linalg.norm(all_five)
+
+    def test_nonpositive_curvature_pair_not_stored(self):
+        memory = deque(maxlen=10)
+        s = np.array([1.0, 0.0, 2.0])
+        _store_pair(memory, s, -s)  # s.y < 0
+        _store_pair(memory, s, np.array([0.0, 1.0, 0.0]))  # s.y = 0
+        assert len(memory) == 0
+        _store_pair(memory, s, s)
+        assert len(memory) == 1
 
 
 class TestLevenbergMarquardt:
@@ -340,8 +396,8 @@ class TestPliSolve:
         assert error_db(x, extract_signal(lifted, obs)).e_db <= -100.0
 
     def test_wide_hole_instance_converges(self):
-        # criterion-5 trial 2 at width 9: the rank-1 final stages converge only
-        # if a rejected step restarts the momentum from the incumbent
+        # criterion-5 trial 2 at width 9: a wide hole, where the warm-up has to
+        # bring LM near the signal
         from phaseinpaint.gabor import benchmark_system
 
         x = benchmark_signal(seed=1236)
