@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -147,8 +148,11 @@ def load_observations(directory) -> Observations:
     system = make_gabor_system(np.asarray(window, dtype=float), **{k: sys_desc[k] for k in sizes})
     # the declared grid is allocated only once the files agree with it
     shape = (system.bins, system.frames)
-    magnitudes = np.loadtxt(directory / "r.csv", delimiter=",", ndmin=2)
-    mask = load_mask_csv(directory / "mask.csv")
+    with warnings.catch_warnings():
+        # an empty file reads as an empty grid, which the shape check rejects
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        magnitudes = np.loadtxt(directory / "r.csv", delimiter=",", ndmin=2)
+        mask = load_mask_csv(directory / "mask.csv")
     for name, grid in (("r.csv", magnitudes), ("mask.csv", mask)):
         if grid.shape != shape:
             raise ValueError(f"{name} must have sys.json's bins x frames {shape}, got {grid.shape}")

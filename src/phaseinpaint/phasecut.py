@@ -14,8 +14,13 @@ gradient method on this product of spheres (Journee, Bach, Absil &
 Sepulchre 2010): the gradient is projected row by row onto the tangent
 space and scaled by the diagonal of the cost (a Jacobi preconditioner), a
 step is retracted by renormalizing the rows, and Barzilai-Borwein step
-sizes pass a nonmonotone Armijo test. A step costs one d x d by d x 4
-product.
+sizes pass a nonmonotone Armijo test. A rejected step backtracks to the
+minimizer of the quadratic that matches the test's reference value and the
+slope at 0 and the rejected objective, kept within [0.1, 0.5] of the step.
+An evaluation costs one d x d by d x 4 product; the row products, inner
+products and the step update are real operations on the float64 views of
+the complex d x 4 arrays, and a solve averages 1.2-1.35 evaluations per
+iteration.
 """
 
 from __future__ import annotations
@@ -124,20 +129,35 @@ def reduce_known_block(obs: Observations) -> KnownBlockReduction:
 
 
 def _reduced_cost(gamma: np.ndarray, red: KnownBlockReduction) -> np.ndarray:
-    """B^H gamma B for the aggregation matrix B of ``red``, read off by indexing."""
-    free, known, w = red.free_cells, red.known_cells, red.known_phases
+    """B^H gamma B for the aggregation matrix B of ``red``, read off by indexing.
+
+    The anchor's column, row and corner come from one product t = gamma v,
+    with v the known phases scattered into a zero vector (B's last column).
+    gamma must be Hermitian, as ``phase_cost_matrix``'s is exactly; the
+    result then is exactly Hermitian too.
+    """
+    free = red.free_cells
     f = free.size
     reduced = np.empty((red.dim, red.dim), dtype=complex)
     reduced[:f, :f] = gamma[np.ix_(free, free)]
     if red.has_anchor:
-        reduced[:f, f] = gamma[np.ix_(free, known)] @ w
-        reduced[f, :f] = np.conj(w) @ gamma[np.ix_(known, free)]
-        reduced[f, f] = np.vdot(w, gamma[np.ix_(known, known)] @ w)
-    return 0.5 * (reduced + reduced.conj().T)
+        v = np.zeros(red.n_cells, dtype=complex)
+        v[red.known_cells] = red.known_phases
+        t = gamma @ v
+        reduced[:f, f] = t[free]
+        reduced[f, :f] = np.conj(t[free])
+        reduced[f, f] = np.vdot(v, t).real
+    return reduced
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re <a, b> of two complex arrays, as a dot of their float64 views."""
+    return float(np.vdot(a.view(float), b.view(float)))
 
 
 def _retract(V: np.ndarray) -> np.ndarray:
-    return V / np.linalg.norm(V, axis=1, keepdims=True)
+    W = V.view(float)
+    return V / np.sqrt(np.einsum("ij,ij->i", W, W))[:, None]
 
 
 def _evaluate(G: np.ndarray, D: np.ndarray, V: np.ndarray):
@@ -146,11 +166,14 @@ def _evaluate(G: np.ndarray, D: np.ndarray, V: np.ndarray):
     The gradient is the Euclidean one, 2 G V, with each row's component
     along that row of V removed. The direction divides each row by its
     preconditioner entry D; a row scaling keeps it in the tangent space.
+    Row products are real ones on the float64 views of the complex rows.
     """
-    egrad = 2.0 * (G @ V)
-    radial = np.einsum("ik,ik->i", V.conj(), egrad).real
-    g = egrad - radial[:, None] * V
-    return 0.5 * float(np.vdot(V, egrad).real), g, g / D
+    egrad = G @ V
+    egrad *= 2.0
+    E, W = egrad.view(float), V.view(float)
+    radial = np.einsum("ij,ij->i", W, E)
+    g = E - radial[:, None] * W
+    return 0.5 * float(radial.sum()), g.view(complex), (g / D).view(complex)
 
 
 def pci_solve(
@@ -185,27 +208,31 @@ def pci_solve(
     trace: list[float] = [scale * f]
     step = 1.0
     iterations = 0
-    converged = f <= floor or float(np.linalg.norm(g)) <= _GRAD_TOL
+    converged = f <= floor or _dot(g, g) <= _GRAD_TOL**2
     while not converged and iterations < cfg.max_sweeps:
         iterations += 1
-        slope = float(np.vdot(g, p).real)
+        slope = _dot(g, p)
         f_ref = max(recent)
         while True:
             V_new = _retract(V - step * p)
             f_new, g_new, p_new = _evaluate(G, D, V_new)
             if f_new <= f_ref - 1e-4 * step * slope or step < 1e-20:
                 break
-            step *= 0.5
+            # the minimizer of the quadratic with value f_ref and slope -slope
+            # at 0 and value f_new at step, kept within [0.1, 0.5] of the step
+            curv = f_new - f_ref + slope * step
+            ratio = 0.5 * slope * step / curv if curv > 0.0 else 0.5
+            step *= min(max(ratio, 0.1), 0.5)
         # Barzilai-Borwein step in the metric of the preconditioner
-        s, y = V_new - V, g_new - g
-        sy = float(np.vdot(s, y).real)
-        step = float(np.clip(np.vdot(s, D * s).real / sy, 1e-6, 1e6)) if sy > 0.0 else 1e6
+        s, y = (V_new - V).view(float), (g_new - g).view(float)
+        sy = float(np.vdot(s, y))
+        step = min(max(float(np.vdot(s, D * s)) / sy, 1e-6), 1e6) if sy > 0.0 else 1e6
         V, f, g, p = V_new, f_new, g_new, p_new
         recent.append(f)
         if f < best_f:
             best_V, best_f = V, f
         trace.append(scale * best_f)
-        converged = best_f <= floor or float(np.linalg.norm(g)) <= _GRAD_TOL
+        converged = best_f <= floor or _dot(g, g) <= _GRAD_TOL**2
     return PhaseMatrix(
         factor=best_V,
         reduction=red,

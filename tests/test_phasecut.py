@@ -1,8 +1,11 @@
 """Phase-only relaxation contracts: cost matrix, reduction, factor descent, rounding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from phaseinpaint import phasecut
 from phaseinpaint.gabor import (
     benchmark_system,
     flatten_grid,
@@ -208,13 +211,22 @@ class TestReduceKnownBlock:
         scale = np.linalg.norm(gamma, 2) * obs.system.n_cells
         assert abs(U.objective - obj_full) <= 1e-6 * scale
 
-    @pytest.mark.parametrize("case", ["anchor", "nothing_known", "zero_magnitude_known"])
+    @pytest.mark.parametrize(
+        "case",
+        ["anchor", "nothing_known", "zero_magnitude_known", "benchmark_ratio_0.1", "benchmark_hole_9"],
+    )
     def test_indexed_reduced_cost_matches_aggregation_product(self, case):
         sys_ = tiny_system()
         rng = np.random.default_rng(6)
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         mask = random_mask(4, 4, 0.25, seed=2)
-        if case == "nothing_known":
+        if case.startswith("benchmark"):
+            sys_, x = benchmark_system(), benchmark_signal(seed=1)
+            if case == "benchmark_ratio_0.1":
+                mask = random_mask(32, 16, 0.1, seed=1)
+            else:
+                mask = hole_mask(32, 16, 0.3, width=9, seed=1)
+        elif case == "nothing_known":
             mask = np.zeros((4, 4), dtype=int)
         elif case == "zero_magnitude_known":
             # an impulse leaves 12 of 16 cells at zero magnitude; two of the
@@ -232,6 +244,20 @@ class TestReduceKnownBlock:
         expected = 0.5 * (expected + expected.conj().T)
         got = _reduced_cost(gamma, red)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_reduced_cost_skips_known_block_gather(self):
+        # at ratio 0.1, 461 cells are known: their block alone is 461^2
+        # complex entries (3.4 MB), while the reduced cost is 52 x 52
+        obs = observe(benchmark_system(), benchmark_signal(seed=1), random_mask(32, 16, 0.1, seed=1))
+        gamma, red = phase_cost_matrix(obs), reduce_known_block(obs)
+        assert red.known_cells.size == 461
+        tracemalloc.start()
+        try:
+            _reduced_cost(gamma, red)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestPciSolve:
@@ -294,13 +320,23 @@ class TestPciSolve:
         assert U.converged
         assert error_db(x, pci_signal(obs, extract_phases(U))).e_db <= -60.0
 
-    def test_wide_hole_instance_converges(self):
+    def test_wide_hole_instance_converges(self, monkeypatch):
         # criterion-5 trial 2 at width 9, where the coordinate descent ran out
         # of its 500-sweep budget at -30.8 dB
         x = benchmark_signal(seed=1236)
         obs = observe(benchmark_system(), x, hole_mask(32, 16, 0.3, width=9, seed=1236))
+        evaluations = []
+
+        def counting(G, D, V):
+            evaluations.append(None)
+            return _evaluate(G, D, V)
+
+        monkeypatch.setattr(phasecut, "_evaluate", counting)
         U = pci_solve(phase_cost_matrix(obs), obs)
         assert U.converged
+        # a rejected Barzilai-Borwein step backtracks by interpolation; halving
+        # took 3583 evaluations for 2192 iterations here (1.63 per iteration)
+        assert len(evaluations) <= 1.45 * U.sweeps_run
         assert error_db(x, pci_signal(obs, extract_phases(U))).e_db <= -50.0
 
 

@@ -459,6 +459,19 @@ class TestCli:
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["r.csv", "mask.csv"])
+    def test_solve_empty_grid_file_exits_two_without_warning(self, tmp_path, capfd, recwarn, name):
+        obs = observe(benchmark_system(), benchmark_signal(seed=3), random_mask(32, 16, 0.2, seed=3))
+        save_observations(obs, tmp_path / "obs")
+        (tmp_path / "obs" / name).write_text("")
+        assert main(["solve", "--obs", str(tmp_path / "obs"), "--method", "gli"]) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("config error") and name in err
+        assert "Warning" not in err
+        # pytest records warnings instead of printing them; numpy's loadtxt
+        # warns on a file with no data
+        assert not recwarn.list
+
     @pytest.mark.parametrize(
         "row, message",
         [
