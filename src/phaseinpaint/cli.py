@@ -8,7 +8,8 @@ Subcommands:
 * ``phase-inpaint solve --obs dir --method gli|pli|pci|rpi`` reconstructs a
   single serialized observation set and writes the signal as CSV.
 
-Exit code 0 on completion, 2 on configuration errors.
+Exit code 0 on completion, 2 on configuration errors, including an ``--out``
+that cannot be written, which is checked before any solve starts.
 """
 
 from __future__ import annotations
@@ -79,6 +80,11 @@ def _cmd_sweep(args) -> int:
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot create output directory: {exc}", file=sys.stderr)
+        return CONFIG_ERROR
     rows = run_sweep(cfg)
     paths = emit(rows, args.out, cfg)
     print(f"wrote {paths['results']}")
@@ -91,12 +97,16 @@ def _cmd_solve(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"config error: cannot load observations: {exc}", file=sys.stderr)
         return CONFIG_ERROR
+    out = args.out
+    if out is not None and (out.is_dir() or not out.parent.is_dir()):
+        print(f"config error: --out {out} is not a file in an existing directory", file=sys.stderr)
+        return CONFIG_ERROR
     x_hat, converged = reconstruct(args.method, obs, args.seed, ExperimentConfig())
     lines = [f"{v.real:.17g},{v.imag:.17g}" for v in x_hat]
     body = "re,im\n" + "\n".join(lines) + "\n"
-    if args.out is not None:
-        Path(args.out).write_text(body)
-        print(f"wrote {args.out} (converged={converged})")
+    if out is not None:
+        out.write_text(body)
+        print(f"wrote {out} (converged={converged})")
     else:
         sys.stdout.write(body)
     return 0

@@ -136,14 +136,6 @@ def range_projector(sys: GaborSystem) -> np.ndarray:
     return proj
 
 
-@lru_cache(maxsize=16)
-def complement_projector(sys: GaborSystem) -> np.ndarray:
-    """Orthogonal projector I - P onto the complement of the analysis range."""
-    comp = np.eye(sys.n_cells) - range_projector(sys)
-    comp.setflags(write=False)
-    return comp
-
-
 def stft(sys: GaborSystem, x: np.ndarray) -> np.ndarray:
     """Analysis coefficients of ``x`` as a bins-by-frames complex grid."""
     x = np.asarray(x)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gabor import complement_projector, flatten_grid, synthesis_matrix
+from .gabor import flatten_grid, range_projector, synthesis_matrix
 from .observe import Observations
 
 
@@ -100,11 +100,17 @@ class PhaseMatrix:
 
 
 def phase_cost_matrix(obs: Observations) -> np.ndarray:
-    """Hermitian PSD cost: Diag(c) (I - P) Diag(c), c = flattened magnitudes."""
+    """Hermitian PSD cost: Diag(c) (I - P) Diag(c), c = flattened magnitudes.
+
+    I - P equals -P off the diagonal, so the cost is read off the cached
+    range projector P, not off a second n x n matrix holding I - P. P is
+    exactly Hermitian and outer(-c, c) exactly symmetric, so the cost is too.
+    """
     c = flatten_grid(obs.magnitudes)
-    # I - P is exactly Hermitian and outer(c, c) exactly symmetric, so the
-    # product needs no symmetrization
-    return complement_projector(obs.system) * np.outer(c, c)
+    P = range_projector(obs.system)
+    gamma = P * np.outer(-c, c)
+    np.fill_diagonal(gamma, (1 - P.diagonal()) * (c * c))
+    return gamma
 
 
 def reduce_known_block(obs: Observations) -> KnownBlockReduction:

@@ -368,10 +368,11 @@ def extract_signal(lifted: LiftedMatrix, obs: Observations) -> np.ndarray:
     The candidate s_1 u_1 of the factor (sqrt(lambda_1) v_1 of V V^H) is
     rotated by the unit scalar that best matches the phase-known cells in
     least squares. With no known cells it is defined up to a global phase.
+    The zero lift's only rank-one factor is zero, so it gives the zero signal.
     """
     U, s, _ = np.linalg.svd(lifted.factor, full_matrices=False)
-    if s[0] <= 0.0:
-        raise ValueError("lifted matrix has no positive eigenvalue; extraction is degenerate")
+    if s[0] == 0.0:
+        return np.zeros(lifted.factor.shape[0], dtype=complex)
     x_hat = s[0] * U[:, 0]
     known = obs.known_flat_indices()
     if known.size > 0:

@@ -144,20 +144,44 @@ class TestPhaseCostMatrix:
         obs = observe(sys_, np.zeros(8), np.ones((4, 4), dtype=int))
         assert np.all(phase_cost_matrix(obs) == 0)
 
-    @pytest.mark.parametrize("case", ["random_mask", "hole_mask", "zero_magnitudes"])
+    @pytest.mark.parametrize("case", ["random_mask", "hole_mask", "zero_magnitudes", "dirac"])
     def test_equals_symmetrized_dense_formula(self, case):
-        # the cached I - P times outer(c, c) is already exactly Hermitian, so
-        # the cost is bit for bit the symmetrized 512 x 512 formula
-        sys_ = benchmark_system()
-        x = np.zeros(128) if case == "zero_magnitudes" else benchmark_signal(seed=2)
-        if case == "hole_mask":
-            mask = hole_mask(32, 16, 0.3, width=5, seed=2)
+        # the cost read off P is already exactly Hermitian, so it equals the
+        # symmetrized dense formula, and pci solves it bit for bit the same
+        if case == "dirac":
+            # an impulse zeroes most cells of the tiny system
+            sys_ = tiny_system()
+            obs = observe(sys_, dirac(8, 0), random_mask(4, 4, 0.25, seed=2))
         else:
-            mask = random_mask(32, 16, 0.4, seed=2)
-        obs = observe(sys_, x, mask)
+            sys_ = benchmark_system()
+            x = np.zeros(128) if case == "zero_magnitudes" else benchmark_signal(seed=2)
+            if case == "hole_mask":
+                mask = hole_mask(32, 16, 0.3, width=5, seed=2)
+            else:
+                mask = random_mask(32, 16, 0.4, seed=2)
+            obs = observe(sys_, x, mask)
         c = flatten_grid(obs.magnitudes)
         gamma = (np.eye(sys_.n_cells) - range_projector(sys_)) * np.outer(c, c)
-        assert np.array_equal(phase_cost_matrix(obs), 0.5 * (gamma + gamma.conj().T))
+        cost = phase_cost_matrix(obs)
+        assert np.array_equal(cost, 0.5 * (gamma + gamma.conj().T))
+        ref, new = pci_solve(gamma, obs), pci_solve(cost, obs)
+        assert np.array_equal(new.factor, ref.factor)
+        assert new.sweeps_run == ref.sweeps_run
+        assert np.array_equal(new.objective_trace, ref.objective_trace)
+
+    def test_builds_no_complement_matrix(self):
+        # a fresh system, so no cache holds anything but its range projector;
+        # a 512 x 512 complex I - P alone would take 4 MiB on top of the cost
+        sys_ = make_gabor_system(hann_window(16), hop=8, bins=32, signal_len=128)
+        obs = observe(sys_, benchmark_signal(seed=2), random_mask(32, 16, 0.4, seed=2))
+        range_projector(sys_)
+        tracemalloc.start()
+        try:
+            phase_cost_matrix(obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestReduceKnownBlock:

@@ -533,6 +533,43 @@ class TestCli:
         assert "sys.json" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["gli", "pli", "pci", "rpi"])
+    def test_solve_all_zero_observations(self, tmp_path, method):
+        obs = observe(benchmark_system(), np.zeros(128), random_mask(32, 16, 0.5, seed=0))
+        save_observations(obs, tmp_path / "obs")
+        out = tmp_path / "recon.csv"
+        code = main(["solve", "--obs", str(tmp_path / "obs"), "--method", method, "--out", str(out)])
+        assert code == 0
+        values = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert values.shape == (128, 2)
+        assert np.all(values == 0.0)
+
+    @staticmethod
+    def _fail_if_called(*args, **kwargs):
+        raise AssertionError("the output path is checked before any solve")
+
+    def test_sweep_out_is_a_file_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("phaseinpaint.cli.run_sweep", self._fail_if_called)
+        cfg_path = self.write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        code = main(["sweep", "--kind", "ratio", "--config", str(cfg_path), "--out", str(taken)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize("out_name", ["missing/recon.csv", "obs"])
+    def test_solve_unusable_out_exits_two(self, tmp_path, capsys, monkeypatch, out_name):
+        # a file in a directory that does not exist, or an existing directory
+        monkeypatch.setattr("phaseinpaint.cli.reconstruct", self._fail_if_called)
+        obs = observe(benchmark_system(), benchmark_signal(seed=3), random_mask(32, 16, 0.2, seed=3))
+        save_observations(obs, tmp_path / "obs")
+        out = tmp_path / out_name
+        code = main(["solve", "--obs", str(tmp_path / "obs"), "--method", "gli", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "missing").exists()
+
     def test_module_invocation(self, tmp_path):
         # exercised through a subprocess to mirror the shipped console script
         cfg_path = self.write_config(tmp_path, ratios=[0.1], n_trials=1)
