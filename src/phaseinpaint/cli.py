@@ -66,7 +66,10 @@ def _load_config(args) -> ExperimentConfig:
             raise ValueError(f"config file is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise ValueError("config file must contain a JSON object")
-    overrides: dict = {"sweep": "ratio" if args.kind == "ratio" else "hole_width"}
+    sweep = "ratio" if args.kind == "ratio" else "hole_width"
+    if data.get("sweep", sweep) != sweep:
+        raise ValueError(f"config sweep {data['sweep']!r} contradicts --kind {args.kind}")
+    overrides: dict = {"sweep": sweep}
     if args.workers is not None:
         overrides["workers"] = args.workers
     if args.methods is not None:

@@ -144,14 +144,19 @@ def stft(sys: GaborSystem, x: np.ndarray) -> np.ndarray:
     return unflatten_grid(sys, atom_matrix(sys) @ x)
 
 
-def istft(sys: GaborSystem, coeffs: np.ndarray) -> np.ndarray:
-    """Least-squares synthesis: the signal whose analysis best matches coeffs."""
+def _flat_coeffs(sys: GaborSystem, coeffs: np.ndarray) -> np.ndarray:
+    """``flatten_grid(coeffs)`` after checking that coeffs is a bins-by-frames grid."""
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (sys.bins, sys.frames):
         raise ValueError(
             f"coefficients must have shape ({sys.bins}, {sys.frames}), got {coeffs.shape}"
         )
-    return synthesis_matrix(sys) @ flatten_grid(coeffs)
+    return flatten_grid(coeffs)
+
+
+def istft(sys: GaborSystem, coeffs: np.ndarray) -> np.ndarray:
+    """Least-squares synthesis: the signal whose analysis best matches coeffs."""
+    return synthesis_matrix(sys) @ _flat_coeffs(sys, coeffs)
 
 
 def consistency_projection(sys: GaborSystem, coeffs: np.ndarray) -> np.ndarray:
@@ -159,12 +164,7 @@ def consistency_projection(sys: GaborSystem, coeffs: np.ndarray) -> np.ndarray:
 
     Equivalent to analysis(synthesis(coeffs)); idempotent and self-adjoint.
     """
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape != (sys.bins, sys.frames):
-        raise ValueError(
-            f"coefficients must have shape ({sys.bins}, {sys.frames}), got {coeffs.shape}"
-        )
-    return unflatten_grid(sys, range_projector(sys) @ flatten_grid(coeffs))
+    return unflatten_grid(sys, range_projector(sys) @ _flat_coeffs(sys, coeffs))
 
 
 @lru_cache(maxsize=1)

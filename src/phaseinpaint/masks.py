@@ -30,53 +30,29 @@ def random_mask(bins: int, frames: int, ratio: float, seed: int) -> np.ndarray:
     return flat.reshape((bins, frames), order="F")
 
 
-def hole_mask(
-    bins: int,
-    frames: int,
-    ratio: float,
-    width: int,
-    seed: int,
-    return_log: bool = False,
-):
+def hole_mask(bins: int, frames: int, ratio: float, width: int, seed: int) -> np.ndarray:
     """Mask whose zeros form width-by-width square holes.
 
     Square blocks are dropped at uniformly random positions (clipped at the
     grid border, overlaps allowed) until the zero count first reaches the
     exact target round(ratio * bins * frames); surplus cells from the last
     block are then restored at random so every width hits the same count.
-
-    With ``return_log=True`` also returns the list of placed block rectangles
-    and the set of restored cells, for structural checks.
     """
     if not (1 <= width <= min(bins, frames)):
         raise ValueError(f"hole width must lie in [1, {min(bins, frames)}], got {width}")
     target = _zero_target(bins, frames, ratio)
     rng = np.random.default_rng([int(seed), _HOLE_STREAM])
     mask = np.ones((bins, frames), dtype=np.int64)
-    blocks: list[tuple[int, int, int, int]] = []
-    restored: list[tuple[int, int]] = []
     zeros = 0
-    last_new: list[tuple[int, int]] = []
     while zeros < target:
-        i = int(rng.integers(bins))
-        j = int(rng.integers(frames))
-        i1 = min(i + width, bins)
-        j1 = min(j + width, frames)
-        block = mask[i:i1, j:j1]
-        new_cells = np.argwhere(block == 1)
-        block[:, :] = 0
-        blocks.append((i, i1, j, j1))
-        last_new = [(i + di, j + dj) for di, dj in new_cells]
+        i, j = rng.integers(bins), rng.integers(frames)
+        block = mask[i : i + width, j : j + width]
+        last_new = np.argwhere(block == 1) + (i, j)  # the cells this block zeroed
+        block[...] = 0
         zeros += len(last_new)
     if zeros > target:
-        surplus = zeros - target
-        pick = rng.choice(len(last_new), size=surplus, replace=False)
-        for idx in pick:
-            bi, bj = last_new[idx]
-            mask[bi, bj] = 1
-            restored.append((bi, bj))
-    if return_log:
-        return mask, blocks, restored
+        restore = last_new[rng.choice(len(last_new), size=zeros - target, replace=False)]
+        mask[restore[:, 0], restore[:, 1]] = 1
     return mask
 
 

@@ -118,19 +118,14 @@ def reduce_known_block(obs: Observations) -> KnownBlockReduction:
     c = flatten_grid(obs.magnitudes)
     b = flatten_grid(obs.known)
     mask = flatten_grid(obs.mask).astype(bool)
-    c_max = float(np.max(c)) if c.size else 0.0
-    usable = mask & (c > _ZERO_MAG_EPS * c_max)
+    usable = mask & (c > _ZERO_MAG_EPS * np.max(c))
     known_cells = np.flatnonzero(usable)
-    free_cells = np.flatnonzero(~usable)
-    phases = np.ones(0, dtype=complex)
-    if known_cells.size:
-        phases = b[known_cells] / np.abs(b[known_cells])
     return KnownBlockReduction(
         n_cells=c.size,
-        free_cells=free_cells,
+        free_cells=np.flatnonzero(~usable),
         known_cells=known_cells,
-        known_phases=phases,
-        phase_anchor_cell=int(np.argmax(c)) if c.size else 0,
+        known_phases=b[known_cells] / np.abs(b[known_cells]),
+        phase_anchor_cell=int(np.argmax(c)),
     )
 
 
@@ -199,7 +194,7 @@ def pci_solve(
     d = red.dim
     reduced = _reduced_cost(np.asarray(gamma), red)
     scale = float(np.linalg.norm(reduced))
-    if d == 0 or scale == 0.0:
+    if scale == 0.0:
         return PhaseMatrix(factor=np.ones((d, 1), dtype=complex), reduction=red, converged=True)
     G = reduced / scale
     diag = G.diagonal().real

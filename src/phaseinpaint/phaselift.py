@@ -79,15 +79,6 @@ class LiftedMatrix:
     stage_log: list = field(default_factory=list)
 
     @property
-    def values(self) -> np.ndarray:
-        """The n x n lift V V^H, formed on request."""
-        return self.factor @ self.factor.conj().T
-
-    @property
-    def trace(self) -> float:
-        return float(np.vdot(self.factor, self.factor).real)
-
-    @property
     def rank_estimate(self) -> int:
         return _rank_estimate(_spectrum(self.factor))
 
@@ -246,10 +237,11 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
 
     if obs.n_missing == 0:
         # every phase observed: the problem is plain linear inversion and the
-        # optimal lift is x0 x0^H for the synthesized signal x0, so V = x0
+        # optimal lift is x0 x0^H for the synthesized signal x0, so V = x0;
+        # coefficients that are no signal's analysis leave it infeasible
         V = istft(system, obs.known)[:, None]
         feas = float(np.linalg.norm(residual(M @ V))) / max(beta, 1e-300)
-        return LiftedMatrix(factor=V, feas_residual=feas)
+        return LiftedMatrix(V, bool(feas <= cfg.feas_tol), feas)
 
     if beta == 0.0:
         return LiftedMatrix(factor=np.zeros((n, 1), dtype=complex))

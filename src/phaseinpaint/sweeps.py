@@ -36,6 +36,7 @@ CSV_HEADER = "sweep_param,method,trial,e_db,seconds,converged,seed"
 
 DEFAULT_RATIOS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_WIDTHS = (1, 3, 5, 7, 9)
+_BLOCKS = (("gli", GliConfig), ("pli", PliConfig), ("pci", PciConfig))
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.sweep not in ("ratio", "hole_width"):
             raise ValueError(f"sweep must be 'ratio' or 'hole_width', got {self.sweep!r}")
+        for name, cls in _BLOCKS:
+            if not isinstance(getattr(self, name), cls):
+                raise ValueError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         optional = ("pli_points", "pci_points")
         for name in ("ratios", "widths", "methods", *optional):
             values = getattr(self, name)
@@ -124,7 +128,7 @@ class ResultRow:
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from parsed JSON, rejecting unknown keys."""
     kwargs = _fields_of(ExperimentConfig, data, "unknown config keys")
-    for key, cls in (("gli", GliConfig), ("pli", PliConfig), ("pci", PciConfig)):
+    for key, cls in _BLOCKS:
         if key in kwargs:
             if not isinstance(kwargs[key], dict):
                 raise ValueError(f"config block {key!r} must be an object")

@@ -33,6 +33,23 @@ class TestRandomMask:
             random_mask(32, 16, 1.5, seed=0)
 
 
+class _RecordingRng:
+    """Generator proxy that logs the draws of ``integers`` and ``choice``."""
+
+    def __init__(self, rng):
+        self._rng, self.integers_drawn, self.choices_drawn = rng, [], []
+
+    def integers(self, *args, **kwargs):
+        value = self._rng.integers(*args, **kwargs)
+        self.integers_drawn.append(int(value))
+        return value
+
+    def choice(self, *args, **kwargs):
+        value = self._rng.choice(*args, **kwargs)
+        self.choices_drawn.append(value)
+        return value
+
+
 class TestHoleMask:
     def test_width_one_count_matches_random(self):
         mask = hole_mask(32, 16, 0.3, width=1, seed=3)
@@ -46,16 +63,37 @@ class TestHoleMask:
     def test_ratio_zero_any_width(self):
         assert np.all(hole_mask(32, 16, 0.0, width=5, seed=0) == 1)
 
-    def test_pre_trim_zeros_lie_in_placed_blocks(self):
-        mask, blocks, restored = hole_mask(32, 16, 0.3, width=5, seed=11, return_log=True)
+    def test_pre_trim_zeros_lie_in_placed_blocks(self, monkeypatch):
+        # the blocks and the restored cells are read off the generator's draws
+        rngs = []
+        default_rng = np.random.default_rng
+
+        def recording_rng(seed):
+            rngs.append(_RecordingRng(default_rng(seed)))
+            return rngs[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        mask = hole_mask(32, 16, 0.3, width=5, seed=11)
+        monkeypatch.undo()
+        (rng,) = rngs
+        corners = rng.integers_drawn
+        assert len(corners) % 2 == 0 and len(rng.choices_drawn) == 1
+        blocks = [(i, i + 5, j, j + 5) for i, j in zip(corners[::2], corners[1::2])]
+        covered = np.zeros_like(mask)
+        for i0, i1, j0, j1 in blocks[:-1]:
+            covered[i0:i1, j0:j1] = 1
+        i0, i1, j0, j1 = blocks[-1]
+        last_new = np.argwhere(covered[i0:i1, j0:j1] == 0) + (i0, j0)
+        restored = last_new[rng.choices_drawn[0]]
+        covered[i0:i1, j0:j1] = 1
         pre_trim = mask.copy()
         for bi, bj in restored:
+            assert mask[bi, bj] == 1
             pre_trim[bi, bj] = 0
-        covered = np.zeros_like(pre_trim)
-        for i0, i1, j0, j1 in blocks:
-            covered[i0:i1, j0:j1] = 1
         zero_cells = np.argwhere(pre_trim == 0)
         assert all(covered[i, j] == 1 for i, j in zero_cells)
+        assert np.array_equal(pre_trim == 0, covered == 1)
+        assert int(np.count_nonzero(mask == 0)) == 154
 
     def test_deterministic(self):
         assert np.array_equal(hole_mask(32, 16, 0.3, 5, 9), hole_mask(32, 16, 0.3, 5, 9))

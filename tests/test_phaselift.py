@@ -126,7 +126,8 @@ class TestPsdFactor:
         zero = observe(obs.system, np.zeros(32, dtype=complex), random_mask(8, 8, 0.3, seed=5))
         lifted = pli_solve(zero)
         assert lifted.converged
-        assert not np.any(lifted.values)
+        V = lifted.factor
+        assert not np.any(V @ V.conj().T)
         assert lifted.rank_estimate == 0
 
 
@@ -336,10 +337,11 @@ class TestPliSolve:
     def test_solution_is_hermitian_psd_and_feasible(self, medium_instance):
         _, obs = medium_instance
         lifted = pli_solve(obs)
-        L = lifted.values
+        V = lifted.factor
+        L = V @ V.conj().T
         assert np.allclose(L, L.conj().T, atol=1e-12)
         eigvals = np.linalg.eigvalsh(L)
-        assert eigvals[0] >= -1e-8 * max(lifted.trace, 1e-30)
+        assert eigvals[0] >= -1e-8 * max(float(np.vdot(V, V).real), 1e-30)
         assert lifted.feas_residual <= PliConfig().feas_tol
 
     def test_trace_does_not_exceed_true_lift(self, medium_instance):
@@ -348,7 +350,8 @@ class TestPliSolve:
         x_hat = extract_signal(lifted, obs)
         assert error_db(x, x_hat).e_db <= -40.0  # extraction succeeded
         true_trace = float(np.vdot(x, x).real)
-        assert lifted.trace <= true_trace * (1.0 + 1e-3)
+        trace = float(np.vdot(lifted.factor, lifted.factor).real)
+        assert trace <= true_trace * (1.0 + 1e-3)
 
     def test_rank_one_diagnostic(self, medium_instance):
         _, obs = medium_instance
@@ -360,12 +363,13 @@ class TestPliSolve:
         # read off the singular values of the factor, not an n x n eigvalsh
         _, obs = medium_instance
         lifted = pli_solve(obs)
-        eigvals = np.linalg.eigvalsh(lifted.values)
+        V = lifted.factor
+        eigvals = np.linalg.eigvalsh(V @ V.conj().T)
         assert lifted.rank_estimate == _rank_estimate(eigvals)
 
     def test_returns_thin_factor(self, tiny_instance):
         # the main path and both early returns (every phase known, all
-        # magnitudes zero) end on an n x 1 factor whose lift is V V^H
+        # magnitudes zero) end on an n x 1 factor
         x, obs = tiny_instance
         system = obs.system
         instances = [
@@ -377,12 +381,23 @@ class TestPliSolve:
             lifted = pli_solve(case)
             V = lifted.factor
             assert V.shape == (8, 1)
-            assert np.array_equal(lifted.values, V @ V.conj().T)
             assert lifted.converged
+
+    def test_unrealizable_all_known_is_not_converged(self):
+        # random coefficients are no signal's analysis, so with every phase
+        # known the least-squares lift leaves a residual far above feas_tol
+        from phaseinpaint.gabor import benchmark_system
+        from phaseinpaint.observe import Observations
+
+        rng = np.random.default_rng(0)
+        coeffs = rng.standard_normal((32, 16)) + 1j * rng.standard_normal((32, 16))
+        lifted = pli_solve(Observations(benchmark_system(), coeffs, np.ones((32, 16), dtype=int)))
+        assert lifted.feas_residual > 0.5
+        assert lifted.converged is False
 
     def test_bit_deterministic(self, medium_instance):
         _, obs = medium_instance
-        assert np.array_equal(pli_solve(obs).values, pli_solve(obs).values)
+        assert np.array_equal(pli_solve(obs).factor, pli_solve(obs).factor)
 
     def test_high_ratio_instance_converges(self):
         # criterion-4 trial 2 at ratio 0.6: the dense projected solver used

@@ -77,6 +77,13 @@ class TestConfig:
             ExperimentConfig(n_trials=0)
         with pytest.raises(ValueError, match="workers"):
             dataclasses.replace(ExperimentConfig(), workers=0)
+        # nested blocks must be the config classes, not their JSON objects
+        with pytest.raises(ValueError, match="gli must be a GliConfig"):
+            ExperimentConfig(gli={"n_iter": 5})
+        with pytest.raises(ValueError, match="pci must be a PciConfig"):
+            dataclasses.replace(ExperimentConfig(), pci=None)
+        with pytest.raises(ValueError, match="pli must be a PliConfig"):
+            ExperimentConfig(pli="anchored")
 
     @pytest.mark.parametrize(
         "case, field",
@@ -546,7 +553,7 @@ class TestCli:
 
     @staticmethod
     def _fail_if_called(*args, **kwargs):
-        raise AssertionError("the output path is checked before any solve")
+        raise AssertionError("the checks run before any solve")
 
     def test_sweep_out_is_a_file_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("phaseinpaint.cli.run_sweep", self._fail_if_called)
@@ -557,6 +564,39 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize(
+        "kind, sweep", [("ratio", "hole_width"), ("hole", "ratio")], ids=["ratio", "hole"]
+    )
+    def test_kind_contradicting_config_sweep_exits_two(
+        self, tmp_path, capsys, monkeypatch, kind, sweep
+    ):
+        monkeypatch.setattr("phaseinpaint.cli.run_sweep", self._fail_if_called)
+        cfg_path = self.write_config(tmp_path, sweep=sweep, widths=[3])
+        out = tmp_path / "out"
+        code = main(["sweep", "--kind", kind, "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--kind" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, sweep", [("ratio", None), ("ratio", "ratio"), ("hole", "hole_width")]
+    )
+    def test_kind_matching_config_sweep_runs(self, tmp_path, monkeypatch, kind, sweep):
+        # a config without sweep, with the same one, or emitted by the same kind of sweep
+        expected = "ratio" if kind == "ratio" else "hole_width"
+        ran = []
+        monkeypatch.setattr("phaseinpaint.cli.run_sweep", lambda cfg: ran.append(cfg) or [])
+        overrides = {} if sweep is None else {"sweep": sweep}
+        cfg_path = self.write_config(tmp_path, widths=[3], **overrides)
+        out = tmp_path / "out"
+        assert main(["sweep", "--kind", kind, "--config", str(cfg_path), "--out", str(out)]) == 0
+        emitted = out / "config.json"
+        assert json.loads(emitted.read_text())["sweep"] == expected
+        rerun = ["sweep", "--kind", kind, "--config", str(emitted), "--out", str(tmp_path / "again")]
+        assert main(rerun) == 0
+        assert ran[0] == ran[1] and ran[0].sweep == expected
 
     @pytest.mark.parametrize("out_name", ["missing/recon.csv", "obs"])
     def test_solve_unusable_out_exits_two(self, tmp_path, capsys, monkeypatch, out_name):
