@@ -24,8 +24,8 @@ print(
     f"(feasibility {lifted.feas_residual:.1e}, rank estimate {lifted.rank_estimate})"
 )
 
-gamma = phase_cost_matrix(obs)
-U = pci_solve(gamma, obs)
+cost = phase_cost_matrix(obs)
+U = pci_solve(cost, obs)
 x_phase = pci_signal(obs, extract_phases(U))
 print(
     f"phase-only relaxation: {error_db(x, x_phase).e_db:7.1f} dB  "

@@ -6,7 +6,8 @@ Diag(c) (I - P) Diag(c) scores any unit-modulus phase vector u by how far
 c * u falls outside the realizable set. The relaxation optimizes the PSD
 Gram matrix U of the phases under a unit diagonal. Cells whose phase is
 observed are condensed into a single aggregate coordinate carrying their
-fixed relative phases.
+fixed relative phases; ``phase_cost_matrix`` builds the cost in these d
+reduced coordinates straight from P, and ``pci_solve`` takes only that one.
 
 The solver writes the reduced U as V V^H with V a d x 4 factor of unit-norm
 rows, so U is PSD with unit diagonal by construction, and runs a Riemannian
@@ -100,17 +101,35 @@ class PhaseMatrix:
 
 
 def phase_cost_matrix(obs: Observations) -> np.ndarray:
-    """Hermitian PSD cost: Diag(c) (I - P) Diag(c), c = flattened magnitudes.
+    """Reduced cost B^H Diag(c) (I - P) Diag(c) B that ``pci_solve`` minimizes.
 
-    I - P equals -P off the diagonal, so the cost is read off the cached
-    range projector P, not off a second n x n matrix holding I - P. P is
-    exactly Hermitian and outer(-c, c) exactly symmetric, so the cost is too.
+    c holds the flattened magnitudes, P is the cached range projector and B
+    the aggregation matrix of ``reduce_known_block(obs)``: one column per
+    free cell, plus the anchor's column of known phases when any are known.
+    The free x free block is read off P (I - P equals -P off the diagonal).
+    With w = c * (known phases) on the known cells and zero elsewhere, the
+    anchor's column is -c_free (P w)_free, its row the conjugate and its
+    corner sum(c_known^2) - Re <w, P w>, from the one product P w. P is
+    exactly Hermitian and outer(-c, c) exactly symmetric, so the result is
+    exactly Hermitian; no n x n matrix is formed.
     """
+    red = reduce_known_block(obs)
     c = flatten_grid(obs.magnitudes)
     P = range_projector(obs.system)
-    gamma = P * np.outer(-c, c)
-    np.fill_diagonal(gamma, (1 - P.diagonal()) * (c * c))
-    return gamma
+    free, f = red.free_cells, red.free_cells.size
+    c_free = c[free]
+    cost = np.empty((red.dim, red.dim), dtype=complex)
+    cost[:f, :f] = P[np.ix_(free, free)] * np.outer(-c_free, c_free)
+    np.fill_diagonal(cost[:f, :f], (1 - P.diagonal()[free]) * (c_free * c_free))
+    if red.has_anchor:
+        c_known = c[red.known_cells]
+        w = np.zeros(red.n_cells, dtype=complex)
+        w[red.known_cells] = c_known * red.known_phases
+        Pw = P @ w
+        cost[:f, f] = -c_free * Pw[free]
+        cost[f, :f] = np.conj(cost[:f, f])
+        cost[f, f] = np.sum(c_known * c_known) - np.vdot(w, Pw).real
+    return cost
 
 
 def reduce_known_block(obs: Observations) -> KnownBlockReduction:
@@ -127,28 +146,6 @@ def reduce_known_block(obs: Observations) -> KnownBlockReduction:
         known_phases=b[known_cells] / np.abs(b[known_cells]),
         phase_anchor_cell=int(np.argmax(c)),
     )
-
-
-def _reduced_cost(gamma: np.ndarray, red: KnownBlockReduction) -> np.ndarray:
-    """B^H gamma B for the aggregation matrix B of ``red``, read off by indexing.
-
-    The anchor's column, row and corner come from one product t = gamma v,
-    with v the known phases scattered into a zero vector (B's last column).
-    gamma must be Hermitian, as ``phase_cost_matrix``'s is exactly; the
-    result then is exactly Hermitian too.
-    """
-    free = red.free_cells
-    f = free.size
-    reduced = np.empty((red.dim, red.dim), dtype=complex)
-    reduced[:f, :f] = gamma[np.ix_(free, free)]
-    if red.has_anchor:
-        v = np.zeros(red.n_cells, dtype=complex)
-        v[red.known_cells] = red.known_phases
-        t = gamma @ v
-        reduced[:f, f] = t[free]
-        reduced[f, :f] = np.conj(t[free])
-        reduced[f, f] = np.vdot(v, t).real
-    return reduced
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -178,25 +175,28 @@ def _evaluate(G: np.ndarray, D: np.ndarray, V: np.ndarray):
 
 
 def pci_solve(
-    gamma: np.ndarray, obs: Observations, cfg: PciConfig = PciConfig()
+    cost: np.ndarray, obs: Observations, cfg: PciConfig = PciConfig()
 ) -> PhaseMatrix:
     """Minimize tr(U G) over the reduced Gram matrices U = V V^H with unit diagonal.
 
-    G is the reduced cost scaled to unit Frobenius norm. Starts from a
-    fixed-seed random factor, so solves are bit-deterministic. The search
-    point may rise within the nonmonotone Armijo window; the incumbent (the
-    lowest objective so far) is what ``objective_trace`` records and what is
-    returned, so the trace is non-increasing. ``converged`` means the
-    tangent gradient fell to ``_GRAD_TOL`` or the objective reached its
-    floor within ``max_sweeps`` iterations.
+    ``cost`` is the reduced d x d cost of ``phase_cost_matrix(obs)`` (another
+    shape raises ``ValueError``); G is it scaled to unit Frobenius norm.
+    Starts from a fixed-seed random factor, so solves are bit-deterministic.
+    The search point may rise within the nonmonotone Armijo window; the
+    incumbent (the lowest objective so far) is what ``objective_trace``
+    records and what is returned, so the trace is non-increasing.
+    ``converged`` means the tangent gradient fell to ``_GRAD_TOL`` or the
+    objective reached its floor within ``max_sweeps`` iterations.
     """
     red = reduce_known_block(obs)
     d = red.dim
-    reduced = _reduced_cost(np.asarray(gamma), red)
-    scale = float(np.linalg.norm(reduced))
+    cost = np.asarray(cost)
+    if cost.shape != (d, d):
+        raise ValueError(f"cost must have the reduced shape ({d}, {d}), got {cost.shape}")
+    scale = float(np.linalg.norm(cost))
     if scale == 0.0:
         return PhaseMatrix(factor=np.ones((d, 1), dtype=complex), reduction=red, converged=True)
-    G = reduced / scale
+    G = cost / scale
     diag = G.diagonal().real
     D = np.maximum(diag, _DIAG_FLOOR * diag.max())[:, None]
     floor = 1e-15 * d

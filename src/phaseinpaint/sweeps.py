@@ -155,8 +155,8 @@ def reconstruct(method: str, obs: Observations, trial_seed: int, cfg: Experiment
         lifted = pli_solve(obs, cfg.pli)
         return extract_signal(lifted, obs), lifted.converged
     if method == "pci":
-        gamma = phase_cost_matrix(obs)
-        U = pci_solve(gamma, obs, cfg.pci)
+        cost = phase_cost_matrix(obs)
+        U = pci_solve(cost, obs, cfg.pci)
         return pci_signal(obs, extract_phases(U)), U.converged
     raise ValueError(f"unknown method {method!r}")
 

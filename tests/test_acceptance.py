@@ -26,7 +26,7 @@ from phaseinpaint.griffin_lim import GliConfig, gli_run
 from phaseinpaint.masks import random_mask
 from phaseinpaint.metrics import error_db
 from phaseinpaint.observe import observe
-from phaseinpaint.phasecut import PciConfig, pci_solve, phase_cost_matrix
+from phaseinpaint.phasecut import PciConfig, pci_solve, phase_cost_matrix, reduce_known_block
 from phaseinpaint.phaselift import PliConfig, extract_signal, pli_solve
 from phaseinpaint.signals import benchmark_signal
 from phaseinpaint.sweeps import config_from_dict, emit, run_hole_sweep, run_ratio_sweep
@@ -150,16 +150,19 @@ def test_criterion_06_phase_cost_matrix_correctness():
         x = benchmark_signal(seed=seed)
         mask = random_mask(32, 16, 0.1 + 0.08 * seed, seed=seed)
         obs = observe(sys_, x, mask)
-        gamma = phase_cost_matrix(obs)
-        norm = float(np.linalg.norm(gamma, 2))
-        ok &= bool(np.allclose(gamma, gamma.conj().T, atol=1e-10 * max(norm, 1.0)))
-        ok &= bool(np.linalg.eigvalsh(gamma)[0] >= -1e-8 * norm)
+        red = reduce_known_block(obs)
+        reduced = phase_cost_matrix(obs)
+        norm = float(np.linalg.norm(reduced, 2))
+        ok &= bool(np.allclose(reduced, reduced.conj().T, atol=1e-10 * max(norm, 1.0)))
+        ok &= bool(np.linalg.eigvalsh(reduced)[0] >= -1e-8 * norm)
         coeffs = flatten_grid(stft(sys_, x.astype(complex)))
         mags = np.abs(coeffs)
         u_star = np.ones(coeffs.size, dtype=complex)
         nz = mags > 0
         u_star[nz] = coeffs[nz] / mags[nz]
-        cost = float(np.vdot(u_star, gamma @ u_star).real)
+        # the truth in reduced coordinates: free cells, then the anchor at 1
+        u_star = np.concatenate([u_star[red.free_cells], [1.0] if red.has_anchor else []])
+        cost = float(np.vdot(u_star, reduced @ u_star).real)
         worst_cost = max(worst_cost, cost / (norm * sys_.n_cells))
         ok &= cost <= 1e-8 * norm * sys_.n_cells
     _verdict(6, "phase-cost correctness", ok, f"worst normalized truth cost {worst_cost:.1e}")

@@ -103,8 +103,9 @@ class TestMakeGaborSystem:
         ],
     )
     def test_coverage_fold_matches_roll_sum(self, window, hop, signal_len):
-        # the check folds w^2 modulo hop; the sum of hop-shifted copies of
-        # w^2 over the whole signal is that fold repeated frames times
+        # the sum of hop-shifted copies of w^2 over the whole signal is the
+        # fold of w^2 modulo hop repeated frames times; the check folds the
+        # nonzero samples, which is positive exactly where this fold is
         frames = signal_len // hop
         wsq = np.zeros(signal_len)
         wsq[: window.size] = window * window
@@ -116,6 +117,17 @@ class TestMakeGaborSystem:
         else:
             with pytest.raises(ValueError, match="uncovered"):
                 make_gabor_system(window, hop, window.size, signal_len)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_window_scale_does_not_decide_coverage(self, scale, recwarn):
+        # the window's squares overflow to inf or underflow to 0; the fold
+        # counts nonzero samples, so the check neither warns nor rejects, and
+        # the system it passes is exact
+        sys_ = make_gabor_system(scale * hann_window(16), 8, 32, 128)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+        assert np.linalg.norm(istft(sys_, stft(sys_, x)) - x) <= 1e-12 * np.linalg.norm(x)
 
     def test_long_signal_with_unit_hop_builds_fast(self):
         # one np.roll per frame would take minutes here; the fold is linear

@@ -21,7 +21,6 @@ from phaseinpaint.phasecut import (
     PciConfig,
     PhaseMatrix,
     _evaluate,
-    _reduced_cost,
     _retract,
     extract_phases,
     pci_signal,
@@ -42,6 +41,18 @@ def tiny_instance():
     x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     mask = random_mask(4, 4, 0.25, seed=2)  # 4 of 16 missing
     return x, observe(sys_, x, mask)
+
+
+def dense_cost(obs):
+    """Reference n x n cost Diag(c) (I - P) Diag(c), c = flattened magnitudes."""
+    c = flatten_grid(obs.magnitudes)
+    return (np.eye(obs.system.n_cells) - range_projector(obs.system)) * np.outer(c, c)
+
+
+def reduced_phases(red, u):
+    """A full phase vector that is pinned on the known cells, in reduced coordinates."""
+    anchor = [1.0] if red.has_anchor else []
+    return np.concatenate([u[red.free_cells], anchor])
 
 
 def _bcd_full_with_fixed_entries(gamma, obs, nu=1e-6, max_sweeps=2000, obj_tol=1e-9):
@@ -127,17 +138,18 @@ def benchmark_instance():
 class TestPhaseCostMatrix:
     def test_hermitian_and_psd(self, benchmark_instance):
         _, obs = benchmark_instance
-        gamma = phase_cost_matrix(obs)
-        assert np.allclose(gamma, gamma.conj().T, atol=1e-10)
-        norm = np.linalg.norm(gamma, 2)
-        assert np.linalg.eigvalsh(gamma)[0] >= -1e-8 * norm
+        cost = phase_cost_matrix(obs)
+        assert cost.shape == (155, 155)
+        assert np.array_equal(cost, cost.conj().T)
+        norm = np.linalg.norm(cost, 2)
+        assert np.linalg.eigvalsh(cost)[0] >= -1e-8 * norm
 
     def test_ground_truth_phases_have_zero_cost(self, benchmark_instance):
         x, obs = benchmark_instance
-        gamma = phase_cost_matrix(obs)
-        u_star = ground_truth_phases(obs, x)
-        cost = float(np.vdot(u_star, gamma @ u_star).real)
-        assert cost <= 1e-8 * np.linalg.norm(gamma, 2) * obs.system.n_cells
+        cost = phase_cost_matrix(obs)
+        v = reduced_phases(reduce_known_block(obs), ground_truth_phases(obs, x))
+        value = float(np.vdot(v, cost @ v).real)
+        assert value <= 1e-8 * np.linalg.norm(cost, 2) * obs.system.n_cells
 
     def test_zero_signal_gives_zero_cost(self):
         sys_ = tiny_system()
@@ -146,8 +158,9 @@ class TestPhaseCostMatrix:
 
     @pytest.mark.parametrize("case", ["random_mask", "hole_mask", "zero_magnitudes", "dirac"])
     def test_equals_symmetrized_dense_formula(self, case):
-        # the cost read off P is already exactly Hermitian, so it equals the
-        # symmetrized dense formula, and pci solves it bit for bit the same
+        # the free block read off P equals the symmetrized dense formula's bit
+        # for bit; only the anchor's entries are summed in another order, and
+        # pci recovers the same signal from the cost and from B^H gamma B
         if case == "dirac":
             # an impulse zeroes most cells of the tiny system
             sys_ = tiny_system()
@@ -160,28 +173,39 @@ class TestPhaseCostMatrix:
             else:
                 mask = random_mask(32, 16, 0.4, seed=2)
             obs = observe(sys_, x, mask)
-        c = flatten_grid(obs.magnitudes)
-        gamma = (np.eye(sys_.n_cells) - range_projector(sys_)) * np.outer(c, c)
+        gamma = dense_cost(obs)
+        gamma = 0.5 * (gamma + gamma.conj().T)
+        red = reduce_known_block(obs)
+        free, f = red.free_cells, red.free_cells.size
         cost = phase_cost_matrix(obs)
-        assert np.array_equal(cost, 0.5 * (gamma + gamma.conj().T))
-        ref, new = pci_solve(gamma, obs), pci_solve(cost, obs)
-        assert np.array_equal(new.factor, ref.factor)
-        assert new.sweeps_run == ref.sweeps_run
-        assert np.array_equal(new.objective_trace, ref.objective_trace)
+        assert np.array_equal(cost[:f, :f], gamma[np.ix_(free, free)])
+        B = aggregation_matrix(red)
+        reference = B.conj().T @ gamma @ B
+        reference = 0.5 * (reference + reference.conj().T)
+        ref, new = pci_solve(reference, obs), pci_solve(cost, obs)
+        assert new.converged and ref.converged
+        x_ref, x_new = (pci_signal(obs, extract_phases(U)) for U in (ref, new))
+        if np.any(x_ref):
+            assert error_db(x_ref, x_new).e_db <= -50.0
+        else:
+            assert not np.any(x_new)
 
     def test_builds_no_complement_matrix(self):
-        # a fresh system, so no cache holds anything but its range projector;
-        # a 512 x 512 complex I - P alone would take 4 MiB on top of the cost
+        # a fresh system, so no cache holds anything but its range projector.
+        # At ratio 0.1, 461 cells are known and the reduced cost is 52 x 52;
+        # the n x n cost would take 4 MiB and its known block 3.4 MB
         sys_ = make_gabor_system(hann_window(16), hop=8, bins=32, signal_len=128)
-        obs = observe(sys_, benchmark_signal(seed=2), random_mask(32, 16, 0.4, seed=2))
+        obs = observe(sys_, benchmark_signal(seed=1), random_mask(32, 16, 0.1, seed=1))
+        assert reduce_known_block(obs).known_cells.size == 461
         range_projector(sys_)
         tracemalloc.start()
         try:
-            phase_cost_matrix(obs)
+            cost = phase_cost_matrix(obs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8_000_000
+        assert cost.shape == (52, 52)
+        assert peak < 1_000_000
 
 
 class TestReduceKnownBlock:
@@ -227,8 +251,8 @@ class TestReduceKnownBlock:
 
     def test_reduced_and_full_bcd_agree_on_tiny_instance(self):
         _, obs = tiny_instance()
-        gamma = phase_cost_matrix(obs)
-        U = pci_solve(gamma, obs, PciConfig(max_sweeps=2000))
+        gamma = dense_cost(obs)
+        U = pci_solve(phase_cost_matrix(obs), obs, PciConfig(max_sweeps=2000))
         _, obj_full = _bcd_full_with_fixed_entries(gamma, obs, max_sweeps=2000)
         # both objectives sit near the exact optimum 0, so agreement is
         # measured against the problem scale
@@ -258,7 +282,7 @@ class TestReduceKnownBlock:
             x, mask = dirac(8, 0), np.ones((4, 4), dtype=int)
             mask[:2, 3] = 0
         obs = observe(sys_, x, mask)
-        gamma = phase_cost_matrix(obs)
+        gamma = dense_cost(obs)
         red = reduce_known_block(obs)
         assert red.has_anchor == (case != "nothing_known")
         if case == "zero_magnitude_known":
@@ -266,22 +290,10 @@ class TestReduceKnownBlock:
         B = aggregation_matrix(red)
         expected = B.conj().T @ gamma @ B
         expected = 0.5 * (expected + expected.conj().T)
-        got = _reduced_cost(gamma, red)
+        got = phase_cost_matrix(obs)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-
-    def test_reduced_cost_skips_known_block_gather(self):
-        # at ratio 0.1, 461 cells are known: their block alone is 461^2
-        # complex entries (3.4 MB), while the reduced cost is 52 x 52
-        obs = observe(benchmark_system(), benchmark_signal(seed=1), random_mask(32, 16, 0.1, seed=1))
-        gamma, red = phase_cost_matrix(obs), reduce_known_block(obs)
-        assert red.known_cells.size == 461
-        tracemalloc.start()
-        try:
-            _reduced_cost(gamma, red)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+        free, f = red.free_cells, red.free_cells.size
+        assert np.array_equal(got[:f, :f], gamma[np.ix_(free, free)])
 
 
 class TestPciSolve:
@@ -291,6 +303,12 @@ class TestPciSolve:
         U = pci_solve(phase_cost_matrix(obs), obs)
         assert np.array_equal(U.values, np.ones((U.reduction.dim, U.reduction.dim)))
         assert U.converged
+
+    def test_rejects_dense_cost(self, benchmark_instance):
+        _, obs = benchmark_instance
+        assert reduce_known_block(obs).dim < obs.system.n_cells
+        with pytest.raises(ValueError, match="reduced"):
+            pci_solve(dense_cost(obs), obs)
 
     def test_objective_non_increasing(self):
         sys_ = benchmark_system()
@@ -330,8 +348,8 @@ class TestPciSolve:
 
     def test_bit_deterministic(self, benchmark_instance):
         _, obs = benchmark_instance
-        gamma = phase_cost_matrix(obs)
-        first, second = pci_solve(gamma, obs), pci_solve(gamma, obs)
+        cost = phase_cost_matrix(obs)
+        first, second = pci_solve(cost, obs), pci_solve(cost, obs)
         assert np.array_equal(first.factor, second.factor)
         assert first.sweeps_run == second.sweeps_run
 
@@ -369,7 +387,7 @@ class TestFactorDescent:
     def _point():
         _, obs = tiny_instance()
         red = reduce_known_block(obs)
-        G = _reduced_cost(phase_cost_matrix(obs), red)
+        G = phase_cost_matrix(obs)
         G = G / np.linalg.norm(G)
         diag = G.diagonal().real
         D = np.maximum(diag, 1e-3 * diag.max())[:, None]
@@ -436,12 +454,12 @@ class TestExtractPhases:
 
     def test_rounding_quality_diagnostic(self, benchmark_instance):
         _, obs = benchmark_instance
-        gamma = phase_cost_matrix(obs)
-        U = pci_solve(gamma, obs)
-        u = extract_phases(U)
-        rounded = float(np.vdot(u, gamma @ u).real)
-        relaxed = float(np.sum(expand_gram(U) * gamma.T).real)
-        slack = 0.05 * abs(relaxed) + 1e-10 * np.linalg.norm(gamma, 2) * obs.system.n_cells
+        cost = phase_cost_matrix(obs)
+        U = pci_solve(cost, obs)
+        v = reduced_phases(U.reduction, extract_phases(U))
+        rounded = float(np.vdot(v, cost @ v).real)
+        relaxed = float(np.sum(U.values * cost.T).real)
+        slack = 0.05 * abs(relaxed) + 1e-10 * np.linalg.norm(cost, 2) * obs.system.n_cells
         assert rounded <= relaxed + slack
 
 
