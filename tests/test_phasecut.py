@@ -295,6 +295,23 @@ class TestReduceKnownBlock:
         free, f = red.free_cells, red.free_cells.size
         assert np.array_equal(got[:f, :f], gamma[np.ix_(free, free)])
 
+    def test_reduced_cost_skips_known_block_gather(self):
+        # at ratio 0.1, 461 cells are known: their block alone is 461^2
+        # complex entries (3.4 MB), while the reduced cost is 52 x 52
+        sys_ = benchmark_system()
+        obs = observe(sys_, benchmark_signal(seed=1), random_mask(32, 16, 0.1, seed=1))
+        red = reduce_known_block(obs)
+        assert red.known_cells.size == 461
+        range_projector(sys_)
+        tracemalloc.start()
+        try:
+            cost = phase_cost_matrix(obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cost.shape == (red.dim, red.dim)
+        assert peak < red.known_cells.size**2 * np.dtype(complex).itemsize / 3
+
 
 class TestPciSolve:
     def test_zero_cost_returns_all_ones_init(self):
