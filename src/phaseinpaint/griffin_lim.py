@@ -75,7 +75,7 @@ def gli_run(obs: Observations, cfg: GliConfig = GliConfig(), seed: int = 0) -> G
     free = obs.missing_flat_indices()
     cells = np.unravel_index(free, obs.mask.shape, order="F")
     z_known = consistency_projection(system, np.where(obs.mask == 1, y, 0))
-    p_free = np.ascontiguousarray(range_projector(system)[:, free])  # C order: BLAS path of P @ y
+    p_free = np.take(range_projector(system), free, axis=1)  # one C-order copy: BLAS path of P @ y
     mag_free, y_free = obs.magnitudes[cells], y[cells]
     # clamp sets the known cells once; its memory layout fixes the summation
     # order of the residual's norm, so y keeps it and changes in place.

@@ -15,7 +15,9 @@ Levenberg-Marquardt fits the constraints with a rank-one factor x, the
 leading singular direction of V (Gauss-Newton for phaseless data: Gao &
 Xu 2017). No n x n matrix is formed: the solver returns x, a fresh M V at
 each stage end gives ``feas_residual`` and ``converged``, and the
-diagnostics come from the singular values of the factor.
+diagnostics come from the singular values of the factor. The sparse
+constraint operators are the package's only use of scipy, which loads on
+the first pli solve of a process, not on import.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-import scipy.sparse as sp
 
 from .gabor import atom_matrix, flatten_grid, istft
 from .observe import Observations
@@ -124,6 +125,7 @@ def _row_products(cons: PliConstraints, A: np.ndarray, B: np.ndarray) -> np.ndar
 
 def _scatter(rows: np.ndarray, cols: np.ndarray, n_cells: int):
     """CSR S with one unsummed entry per (rows[k], cols[k]); set ``S.data = values.take(order)``."""
+    import scipy.sparse as sp  # only pli needs scipy; gli, pci and rpi never load it
     order = np.argsort(rows, kind="stable")
     indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n_cells))]
     S = sp.csr_matrix(

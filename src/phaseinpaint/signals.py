@@ -46,10 +46,13 @@ def add_noise_snr(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
 
     The noise draw is deterministic per seed and then scaled so that
     10*log10(||x||^2 / ||noise||^2) equals the requested SNR with no
-    sampling variance. ``snr_db = inf`` returns the signal unchanged.
+    sampling variance. ``snr_db = inf`` returns the signal unchanged; NaN
+    and -inf, which no noise level meets, raise ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
-    if math.isinf(snr_db) and snr_db > 0:
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
+    if snr_db == math.inf:
         return x.copy()
     norm_x = np.linalg.norm(x)
     if norm_x == 0.0:

@@ -1,5 +1,7 @@
 """Alternating-projection solver contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,20 @@ class TestGliRun:
         result = gli_run(obs, GliConfig(n_iter=2000), seed=8)
         assert result.converged
         assert result.iterations_run < 2000
+
+    def test_copies_projector_columns_once(self):
+        # the free columns of P form one cells x k complex block (512 x 205,
+        # 1.68 MB); fancy indexing and then a C-order copy would hold two
+        _, obs = make_obs(0.4, seed=2)
+        gli_run(obs, GliConfig(n_iter=1), seed=2)  # caches the system's operators
+        block = obs.mask.size * obs.missing_flat_indices().size * 16
+        tracemalloc.start()
+        try:
+            gli_run(obs, GliConfig(n_iter=5), seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block
 
     def test_not_converged_when_budget_runs_out(self):
         _, obs = make_obs(0.1, seed=8)

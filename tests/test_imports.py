@@ -51,6 +51,33 @@ def test_solvers_do_not_load_scipy_linalg():
     assert proc.returncode == 0, proc.stderr
 
 
+_SWEEP_SCRIPT = """
+import sys
+import numpy as np
+from phaseinpaint import observe, random_mask
+from phaseinpaint.gabor import hann_window, make_gabor_system
+from phaseinpaint.phaselift import pli_solve
+from phaseinpaint.sweeps import ExperimentConfig, run_ratio_sweep
+
+cfg = ExperimentConfig(ratios=(0.3,), n_trials=1, methods=("gli", "pci", "rpi"))
+assert len(run_ratio_sweep(cfg)) == 3
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert loaded == [], f"a gli/pci/rpi sweep loaded {loaded}"
+system = make_gabor_system(hann_window(4), 2, 4, 8)
+rng = np.random.default_rng(3)
+x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+pli_solve(observe(system, x, random_mask(4, 4, 0.3, seed=11)))
+assert "scipy.sparse" in sys.modules, "pli_solve did not load scipy.sparse"
+assert "scipy.linalg" not in sys.modules, "scipy.linalg was imported"
+"""
+
+
+def test_only_a_pli_solve_loads_scipy():
+    # a sweep without pli never imports scipy; the first pli solve does
+    proc = _run_python(_SWEEP_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_root_exports_exactly_the_quick_start_names():
     assert sorted(phaseinpaint.__all__) == QUICK_START_NAMES
     assert isinstance(phaseinpaint.__version__, str)
@@ -58,7 +85,8 @@ def test_root_exports_exactly_the_quick_start_names():
 
 
 def test_root_import_loads_no_solver_or_scipy():
-    # pli, pci, the sweeps and scipy load only when their own modules are imported
+    # pli, pci and the sweeps load only when their own modules are imported;
+    # scipy loads only when a pli solve runs
     proc = _run_python("import sys, phaseinpaint; print(*sys.modules)")
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())

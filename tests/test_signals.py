@@ -66,6 +66,11 @@ class TestAddNoise:
         x = np.sin(np.arange(64) * 0.1)
         assert np.array_equal(add_noise_snr(x, math.inf, seed=0), x)
 
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_impossible_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            add_noise_snr(np.ones(8), snr_db, seed=0)
+
     def test_snr_is_exact(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(128)
