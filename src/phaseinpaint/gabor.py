@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -49,7 +50,8 @@ def make_gabor_system(window, hop: int, bins: int, signal_len: int) -> GaborSyst
 
     Requirements checked here:
 
-    * ``signal_len`` is a positive multiple of ``hop`` (circular framing),
+    * ``hop``, ``bins`` and ``signal_len`` are positive integers, not booleans,
+    * ``signal_len`` is a multiple of ``hop`` (circular framing),
     * ``bins >= len(window)`` (diagonal frame operator, exact inverse),
     * the window is real, finite, not identically zero, and its hop-shifted
       copies cover every sample (otherwise synthesis cannot be exact).
@@ -61,10 +63,9 @@ def make_gabor_system(window, hop: int, bins: int, signal_len: int) -> GaborSyst
         raise ValueError("window samples must be finite")
     if not np.any(w != 0.0):
         raise ValueError("window must have at least one nonzero sample")
-    if hop < 1:
-        raise ValueError("hop must be a positive integer")
-    if signal_len < 1:
-        raise ValueError("signal_len must be a positive integer")
+    for name, size in (("hop", hop), ("bins", bins), ("signal_len", signal_len)):
+        if isinstance(size, bool) or not isinstance(size, Integral) or size < 1:
+            raise ValueError(f"{name} must be a positive integer, got {size!r}")
     if signal_len % hop != 0:
         raise ValueError(
             f"signal_len ({signal_len}) must be divisible by hop ({hop}) "

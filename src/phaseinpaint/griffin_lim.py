@@ -62,10 +62,13 @@ def gli_run(obs: Observations, cfg: GliConfig = GliConfig(), seed: int = 0) -> G
     Missing phases are initialized uniformly on [0, 2 pi) from ``seed``, so
     a run is deterministic given its seed. The loop stops early once the
     change of the residual ||y - z|| drops below ``residual_tol``; the
-    final (not best-residual) iterate is synthesized.
+    final (not best-residual) iterate is synthesized. ``n_iter < 1`` and a
+    NaN or negative ``residual_tol`` raise ``ValueError``.
     """
     if cfg.n_iter < 1:
         raise ValueError("n_iter must be >= 1")
+    if not cfg.residual_tol >= 0.0:  # NaN or negative: the stopping rule never fires
+        raise ValueError(f"residual_tol must be >= 0, got {cfg.residual_tol!r}")
     system = obs.system
     rng = np.random.default_rng([int(seed), _INIT_STREAM])
     phi0 = rng.uniform(0.0, 2.0 * np.pi, size=obs.mask.shape)

@@ -180,7 +180,8 @@ def pci_solve(
     """Minimize tr(U G) over the reduced Gram matrices U = V V^H with unit diagonal.
 
     ``cost`` is the reduced d x d cost of ``phase_cost_matrix(obs)`` (another
-    shape raises ``ValueError``); G is it scaled to unit Frobenius norm.
+    shape raises ``ValueError``, as does ``max_sweeps < 1``); G is it scaled
+    to unit Frobenius norm.
     Starts from a fixed-seed random factor, so solves are bit-deterministic.
     The search point may rise within the nonmonotone Armijo window; the
     incumbent (the lowest objective so far) is what ``objective_trace``
@@ -188,6 +189,8 @@ def pci_solve(
     ``converged`` means the tangent gradient fell to ``_GRAD_TOL`` or the
     objective reached its floor within ``max_sweeps`` iterations.
     """
+    if cfg.max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
     red = reduce_known_block(obs)
     d = red.dim
     cost = np.asarray(cost)

@@ -32,7 +32,6 @@ import numpy as np
 from .gabor import atom_matrix, flatten_grid, istft
 from .observe import Observations
 
-CONSTRAINT_MODES = ("full", "anchored")
 _WARM_RANK = 4  # columns of V in the warm-up penalty stages
 _WARM_STEPS = 200  # step cap per warm-up stage; LM only needs a good start
 _INIT_SEED = 0x1F7  # seed of the orthonormal starting factor
@@ -41,9 +40,10 @@ _LBFGS_MEMORY = 10  # (s, y) pairs kept; 5 lost a hole instance
 
 @dataclass(frozen=True)
 class PliConfig:
-    constraint_mode: str = "anchored"
-    # fixed solver constants, readable but not settable: perfbench/tracer.py's
-    # _pli_info reads penalty_schedule[: max_outer], the tests the other two
+    # fixed solver constants, readable but not settable; pli_solve keeps its
+    # cfg parameter because perfbench/tracer.py's _pli_info binds it and reads
+    # penalty_schedule[: max_outer] (until the tracer counts stages from
+    # stage_log, ROADMAP item 1), the tests the other two
     penalty_schedule: ClassVar[tuple[float, ...]] = (1.0, 1e-1, 1e-2, 1e-3)
     max_outer: ClassVar[int] = 4
     max_inner: ClassVar[int] = 500  # the LM iteration cap
@@ -84,26 +84,21 @@ class LiftedMatrix:
         return _rank_estimate(_spectrum(self.factor))
 
 
-def build_constraints(obs: Observations, mode: str = "anchored") -> PliConstraints:
+def build_constraints(obs: Observations) -> PliConstraints:
     """Assemble the constraint rows for one observation set.
 
-    ``full`` emits every ordered pair of phase-known cells. ``anchored``
-    emits each known cell against itself plus against the single known cell
-    of largest magnitude; on a rank-one PSD matrix this pins the same set of
-    phases at a fraction of the rows. With no known cells both modes reduce
-    to magnitude-only diagonal constraints.
+    Each phase-known cell is paired with itself and with the single known
+    cell of largest magnitude (the anchor); on a rank-one PSD matrix this
+    pins the phases that all ordered pairs of known cells would, at a
+    fraction of the rows. With no known cells only the magnitude-only
+    diagonal constraints remain.
     """
-    if mode not in CONSTRAINT_MODES:
-        raise ValueError(f"constraint mode must be one of {CONSTRAINT_MODES}, got {mode!r}")
     known = obs.known_flat_indices()
     missing = obs.missing_flat_indices()
     r_flat = flatten_grid(obs.magnitudes)
     b_flat = flatten_grid(obs.known)
     if known.size == 0:
         pair_i = pair_j = np.zeros(0, dtype=np.int64)
-    elif mode == "full":
-        grid_i, grid_j = np.meshgrid(known, known, indexing="ij")
-        pair_i, pair_j = grid_i.ravel(), grid_j.ravel()
     else:
         anchor = known[int(np.argmax(r_flat[known]))]
         others = known[known != anchor]
@@ -229,7 +224,7 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
     """
     system = obs.system
     n = system.signal_len
-    cons = build_constraints(obs, cfg.constraint_mode)
+    cons = build_constraints(obs)
     targets = cons.targets
     beta = float(np.linalg.norm(targets))
     M = atom_matrix(system)

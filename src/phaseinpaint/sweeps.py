@@ -28,7 +28,7 @@ from .masks import hole_mask, random_mask
 from .metrics import error_db
 from .observe import Observations, observe, rpi_fill
 from .phasecut import PciConfig, extract_phases, pci_signal, pci_solve, phase_cost_matrix
-from .phaselift import CONSTRAINT_MODES, PliConfig, extract_signal, pli_solve
+from .phaselift import extract_signal, pli_solve
 from .signals import benchmark_signal
 
 METHODS = ("gli", "pli", "pci", "rpi")
@@ -36,7 +36,7 @@ CSV_HEADER = "sweep_param,method,trial,e_db,seconds,converged,seed"
 
 DEFAULT_RATIOS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_WIDTHS = (1, 3, 5, 7, 9)
-_BLOCKS = (("gli", GliConfig), ("pli", PliConfig), ("pci", PciConfig))
+_BLOCKS = (("gli", GliConfig), ("pci", PciConfig))
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,6 @@ class ExperimentConfig:
     pli_points: tuple[float, ...] | None = None  # None = run at every point
     pci_points: tuple[float, ...] | None = None
     gli: GliConfig = GliConfig()
-    pli: PliConfig = PliConfig()
     pci: PciConfig = PciConfig()
 
     def __post_init__(self) -> None:
@@ -86,11 +85,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {unknown}")
         if not self.methods:
             raise ValueError("at least one method must be selected")
-        if self.pli.constraint_mode not in CONSTRAINT_MODES:
-            raise ValueError(
-                f"pli.constraint_mode must be one of {CONSTRAINT_MODES}, "
-                f"got {self.pli.constraint_mode!r}"
-            )
         for name in optional:
             for p in getattr(self, name) or ():
                 _check_real(f"{name} entries", p, math.inf)
@@ -152,7 +146,7 @@ def reconstruct(method: str, obs: Observations, trial_seed: int, cfg: Experiment
     if method == "rpi":
         return istft(obs.system, rpi_fill(obs, seed=trial_seed)), True
     if method == "pli":
-        lifted = pli_solve(obs, cfg.pli)
+        lifted = pli_solve(obs)
         return extract_signal(lifted, obs), lifted.converged
     if method == "pci":
         cost = phase_cost_matrix(obs)

@@ -69,6 +69,22 @@ class TestMakeGaborSystem:
         with pytest.raises(ValueError, match="bins"):
             make_gabor_system(hann_window(16), hop=8, bins=8, signal_len=128)
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            dict(hop=8.0, bins=32, signal_len=128),
+            dict(hop=8, bins=32.0, signal_len=128),
+            dict(hop=8, bins=32, signal_len=128.0),
+            dict(hop=True, bins=32, signal_len=128),
+        ],
+        ids=["hop_float", "bins_float", "signal_len_float", "hop_bool"],
+    )
+    def test_non_integer_sizes_rejected(self, sizes):
+        # caught here, not later as a casting TypeError in atom_matrix
+        name = next(k for k, v in sizes.items() if type(v) is not int)
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            make_gabor_system(hann_window(16), **sizes)
+
     def test_zero_window_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             make_gabor_system(np.zeros(4), hop=2, bins=4, signal_len=8)

@@ -243,3 +243,11 @@ class TestGliRun:
         result = gli_run(obs, GliConfig(n_iter=3), seed=8)
         assert not result.converged
         assert result.iterations_run == 3
+
+    @pytest.mark.parametrize("residual_tol", [float("nan"), -1.0])
+    def test_unmeetable_residual_tol_rejected(self, residual_tol):
+        # no plateau test passes a NaN or negative tolerance, so such a run
+        # would always spend its whole budget
+        _, obs = make_obs(0.3, seed=8)
+        with pytest.raises(ValueError, match="residual_tol"):
+            gli_run(obs, GliConfig(n_iter=50, residual_tol=residual_tol), seed=8)

@@ -327,6 +327,13 @@ class TestPciSolve:
         with pytest.raises(ValueError, match="reduced"):
             pci_solve(dense_cost(obs), obs)
 
+    @pytest.mark.parametrize("max_sweeps", [0, -3])
+    def test_no_budget_rejected(self, benchmark_instance, max_sweeps):
+        # no sweep would leave the random starting factor as the answer
+        _, obs = benchmark_instance
+        with pytest.raises(ValueError, match="max_sweeps"):
+            pci_solve(phase_cost_matrix(obs), obs, PciConfig(max_sweeps=max_sweeps))
+
     def test_objective_non_increasing(self):
         sys_ = benchmark_system()
         rng = np.random.default_rng(3)

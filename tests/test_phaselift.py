@@ -4,6 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from conftest import full_constraints, pli_solve_all_pairs
 
 from phaseinpaint.gabor import atom_matrix, hann_window, make_gabor_system
 from phaseinpaint.masks import hole_mask, random_mask
@@ -63,8 +64,7 @@ class TestBuildConstraints:
         sys_ = make_gabor_system(hann_window(4), hop=2, bins=4, signal_len=8)
         x = np.arange(1.0, 9.0)
         obs = observe(sys_, x, np.zeros((4, 4), dtype=int))
-        for mode in ("full", "anchored"):
-            cons = build_constraints(obs, mode)
+        for cons in (full_constraints(obs), build_constraints(obs)):
             assert cons.n_rows == 16
             assert np.array_equal(cons.rows_i, cons.rows_j)
 
@@ -74,7 +74,7 @@ class TestBuildConstraints:
         x = benchmark_signal(seed=1)
         mask = random_mask(32, 16, 0.3, seed=1)
         obs = observe(benchmark_system(), x, mask)
-        cons = build_constraints(obs, "anchored")
+        cons = build_constraints(obs)
         # 154 missing-cell diagonal rows, 358 self pairs and 357 anchor pairs
         assert cons.n_rows == 154 + 358 + 357
         assert np.count_nonzero(cons.rows_i != cons.rows_j) == 357
@@ -82,14 +82,15 @@ class TestBuildConstraints:
         assert np.array_equal(np.sort(diagonal), np.arange(512))
 
     def test_full_row_counts(self, tiny_instance):
+        # the tests' all-pairs reference rows
         _, obs = tiny_instance
-        cons = build_constraints(obs, "full")
+        cons = full_constraints(obs)
         assert cons.n_rows == obs.n_known**2 + obs.n_missing
         assert np.count_nonzero(cons.rows_i != cons.rows_j) == obs.n_known * (obs.n_known - 1)
 
     def test_pair_targets_conjugate_symmetric(self, tiny_instance):
         _, obs = tiny_instance
-        cons = build_constraints(obs, "full")
+        cons = full_constraints(obs)
         lookup = {(i, j): t for i, j, t in zip(cons.rows_i, cons.rows_j, cons.targets)}
         for (i, j), t in lookup.items():
             assert lookup[(j, i)] == pytest.approx(np.conj(t), rel=1e-12)
@@ -98,16 +99,10 @@ class TestBuildConstraints:
         # the arbiter for the pair-target orientation
         x, obs = tiny_instance
         L_true = np.outer(x, np.conj(x))
-        for mode in ("full", "anchored"):
-            cons = build_constraints(obs, mode)
+        for cons in (full_constraints(obs), build_constraints(obs)):
             vals = constraint_values(obs, cons, L_true)
             rel = np.linalg.norm(vals - cons.targets) / np.linalg.norm(cons.targets)
             assert rel <= 1e-9
-
-    def test_unknown_mode_rejected(self, tiny_instance):
-        _, obs = tiny_instance
-        with pytest.raises(ValueError, match="mode"):
-            build_constraints(obs, "diagonal")
 
 
 class TestPsdFactor:
@@ -118,7 +113,7 @@ class TestPsdFactor:
         A = (Q * -np.arange(1.0, 9.0)) @ Q.conj().T
         assert _rank_estimate(np.linalg.eigvalsh(A)) == 0
         # the lift of the empty factor is the zero matrix
-        cons = build_constraints(obs, "full")
+        cons = full_constraints(obs)
         F = np.zeros((32, 0), dtype=complex)
         assert not np.any(_factor_values(obs, cons, F))
         assert np.array_equal(_factor_values(obs, cons, F), constraint_values(obs, cons, F @ F.conj().T))
@@ -134,7 +129,7 @@ class TestPsdFactor:
 class TestFactorResiduals:
     def test_factor_values_match_dense(self, medium_instance):
         _, obs = medium_instance
-        cons = build_constraints(obs, "anchored")
+        cons = build_constraints(obs)
         rng = np.random.default_rng(2)
         for r in (0, 1, 5, 32):
             F = rng.standard_normal((32, r)) + 1j * rng.standard_normal((32, r))
@@ -149,7 +144,7 @@ class TestFactorResiduals:
         # quadratic in the factor), so pli evaluates it afresh
         _, obs = medium_instance
         M = atom_matrix(obs.system)
-        cons = build_constraints(obs, "full")
+        cons = full_constraints(obs)
         rng = np.random.default_rng(4)
         V, D = (rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3)) for _ in range(2))
         MV, MD = M @ V, M @ D
@@ -169,8 +164,7 @@ class TestFactorResiduals:
         rng = np.random.default_rng(4)
         V = rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3))
         h = 1e-5
-        for mode in ("full", "anchored"):
-            cons = build_constraints(obs, mode)
+        for cons in (full_constraints(obs), build_constraints(obs)):
             gradient, _ = _operators(obs, cons)
 
             def objective(W, mu):
@@ -186,13 +180,14 @@ class TestFactorResiduals:
 
     def test_merged_scatter_matches_dense_gradient(self, medium_instance):
         # one CSR matrix for S + S^H, its shared cells kept as separate
-        # entries, against the dense 2 (M^H (S + S^H) M V + mu V)
+        # entries, against the dense 2 (M^H (S + S^H) M V + mu V); the
+        # all-pairs rows fill every known cell's row of S, the anchored rows
+        # the anchor's only
         _, obs = medium_instance
         M = atom_matrix(obs.system)
         rng = np.random.default_rng(6)
         V = rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3))
-        for mode in ("full", "anchored"):
-            cons = build_constraints(obs, mode)
+        for cons in (full_constraints(obs), build_constraints(obs)):
             res = _factor_values(obs, cons, V) - cons.targets
             rows_i, rows_j = cons.rows_i, cons.rows_j
             S = np.zeros((obs.system.n_cells,) * 2, dtype=complex)
@@ -278,8 +273,7 @@ class TestLevenbergMarquardt:
         _, obs = medium_instance
         M = atom_matrix(obs.system)
         rng = np.random.default_rng(10)
-        for mode in ("full", "anchored"):
-            cons = build_constraints(obs, mode)
+        for cons in (full_constraints(obs), build_constraints(obs)):
             rows_i, rows_j = cons.rows_i, cons.rows_j
             u = M @ (rng.standard_normal(32) + 1j * rng.standard_normal(32))
             A = np.conj(u[rows_j])[:, None] * M[rows_i]
@@ -296,8 +290,7 @@ class TestLevenbergMarquardt:
         x, obs = medium_instance
         M = atom_matrix(obs.system)
         rng = np.random.default_rng(11)
-        for mode in ("full", "anchored"):
-            cons = build_constraints(obs, mode)
+        for cons in (full_constraints(obs), build_constraints(obs)):
             z = (x + 1e-3 * (rng.standard_normal(32) + 1j * rng.standard_normal(32)))[:, None]
             res = _factor_values(obs, cons, z) - cons.targets
             gradient, normal = _operators(obs, cons)
@@ -321,17 +314,17 @@ class TestLevenbergMarquardt:
 
 
 class TestPliSolve:
-    def test_tiny_full_mode_recovers(self, tiny_instance):
+    def test_tiny_full_mode_recovers(self, tiny_instance, monkeypatch):
         x, obs = tiny_instance
-        lifted = pli_solve(obs, PliConfig(constraint_mode="full"))
+        lifted = pli_solve_all_pairs(obs, monkeypatch)
         x_hat = extract_signal(lifted, obs)
         assert error_db(x, x_hat).e_db <= -40.0
         assert lifted.converged
 
-    def test_tiny_mode_agreement(self, tiny_instance):
+    def test_tiny_mode_agreement(self, tiny_instance, monkeypatch):
         x, obs = tiny_instance
-        full = extract_signal(pli_solve(obs, PliConfig(constraint_mode="full")), obs)
-        anchored = extract_signal(pli_solve(obs, PliConfig(constraint_mode="anchored")), obs)
+        full = extract_signal(pli_solve_all_pairs(obs, monkeypatch), obs)
+        anchored = extract_signal(pli_solve(obs), obs)
         assert error_db(full, anchored).e_db <= -60.0
 
     def test_solution_is_hermitian_psd_and_feasible(self, medium_instance):

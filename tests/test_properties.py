@@ -22,10 +22,9 @@ from phaseinpaint.griffin_lim import GliConfig
 from phaseinpaint.masks import random_mask
 from phaseinpaint.observe import Observations, load_observations, observe, save_observations
 from phaseinpaint.phasecut import PciConfig
-from phaseinpaint.phaselift import CONSTRAINT_MODES, PliConfig
 from phaseinpaint.sweeps import METHODS, ExperimentConfig, config_from_dict
 
-BLOCKS = {"gli": GliConfig, "pli": PliConfig, "pci": PciConfig}
+BLOCKS = {"gli": GliConfig, "pci": PciConfig}
 
 
 def _names(cls):
@@ -41,7 +40,7 @@ scalars = (
     | st.sampled_from([2**1100, -(2**1100)])
     | st.floats(min_value=0.0, max_value=1.0)
     | st.floats()
-    | st.sampled_from(METHODS + CONSTRAINT_MODES + ("ratio", "hole_width"))
+    | st.sampled_from(METHODS + ("ratio", "hole_width"))
     | st.text(max_size=6)
 )
 json_values = st.recursive(
@@ -58,7 +57,7 @@ def _block(cls):
 
 @st.composite
 def config_dicts(draw):
-    keys = draw(st.lists(st.sampled_from(_names(ExperimentConfig) + ["bogus"]), unique=True, max_size=5))
+    keys = draw(st.lists(st.sampled_from(_names(ExperimentConfig) + ["bogus", "pli"]), unique=True, max_size=5))
     data = {}
     for key in keys:
         as_block = key in BLOCKS and draw(st.booleans())

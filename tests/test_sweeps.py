@@ -82,8 +82,6 @@ class TestConfig:
             ExperimentConfig(gli={"n_iter": 5})
         with pytest.raises(ValueError, match="pci must be a PciConfig"):
             dataclasses.replace(ExperimentConfig(), pci=None)
-        with pytest.raises(ValueError, match="pli must be a PliConfig"):
-            ExperimentConfig(pli="anchored")
 
     @pytest.mark.parametrize(
         "case, field",
@@ -102,11 +100,22 @@ class TestConfig:
 
     def test_pli_constants_not_settable(self):
         # the warm-up schedule, step caps and tolerance are solver constants
-        assert [f.name for f in dataclasses.fields(PliConfig)] == ["constraint_mode"]
+        assert dataclasses.fields(PliConfig) == ()
         with pytest.raises(TypeError):
             PliConfig(feas_tol=1e-8)
-        with pytest.raises(ValueError, match="unknown keys in 'pli' block"):
+        with pytest.raises(ValueError, match=r"unknown config keys: \['pli'\]"):
             config_from_dict({"pli": {"penalty_schedule": [1.0]}})
+
+    def test_pli_block_is_unknown_key(self, tmp_path, capsys):
+        # PliConfig has no settable field, so a sweep config has no pli block
+        block = {"pli": {"constraint_mode": "anchored"}}
+        with pytest.raises(ValueError, match=r"unknown config keys: \['pli'\]"):
+            config_from_dict(block)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(block))
+        code = main(["sweep", "--kind", "ratio", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert "unknown config keys" in capsys.readouterr().err
 
 
 class TestRatioSweep:
@@ -259,7 +268,7 @@ class TestEmit:
         stored = json.loads((tmp_path / "config.json").read_text())
         assert stored["n_trials"] == 2
         assert stored["gli"]["n_iter"] == 50
-        assert stored["pli"] == {"constraint_mode": "anchored"}
+        assert "pli" not in stored
 
     def test_table_text(self, tmp_path):
         rows = [
