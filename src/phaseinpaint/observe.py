@@ -126,10 +126,11 @@ def load_observations(directory) -> Observations:
 
     The loaded object carries no information beyond what a solver is allowed
     to see: off-mask coefficients come back as zeros. Raises ValueError if
-    sys.json is not an object with integer hop, bins and signal_len and a
-    window that is a non-empty list of finite numbers, if r.csv or mask.csv
-    is not bins x frames, or if a b.csv index is not an integer, lies off
-    the grid, repeats or is off the mask.
+    sys.json is not an object with hop, bins and signal_len and a window
+    that is a non-empty list of finite numbers, if ``make_gabor_system``
+    rejects that geometry (sizes that are not positive integers, among
+    others), if r.csv or mask.csv is not bins x frames, or if a b.csv index
+    is not an integer, lies off the grid, repeats or is off the mask.
     """
     directory = Path(directory)
     sys_desc = json.loads((directory / "sys.json").read_text())
@@ -137,15 +138,18 @@ def load_observations(directory) -> Observations:
     window = sys_desc.get("window") if isinstance(sys_desc, dict) else None
     if (
         not isinstance(window, list)  # also when sys.json holds no object
-        or any(type(sys_desc.get(k)) is not int for k in sizes)
+        or any(k not in sys_desc for k in sizes)
         or not window
         or any(type(v) not in (int, float) or not abs(v) <= sys.float_info.max for v in window)
     ):
         raise ValueError(
-            f"sys.json must be an object with integer {', '.join(sizes)} "
+            f"sys.json must be an object with {', '.join(sizes)} "
             "and a non-empty list of finite numbers as window"
         )
-    system = make_gabor_system(np.asarray(window, dtype=float), **{k: sys_desc[k] for k in sizes})
+    try:
+        system = make_gabor_system(np.asarray(window, dtype=float), **{k: sys_desc[k] for k in sizes})
+    except ValueError as exc:
+        raise ValueError(f"sys.json: {exc}") from None
     # the declared grid is allocated only once the files agree with it
     shape = (system.bins, system.frames)
     with warnings.catch_warnings():

@@ -1,6 +1,7 @@
 """Phase-only relaxation contracts: cost matrix, reduction, factor descent, rounding."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,12 @@ def ground_truth_phases(obs, x):
     nz = mags > 0
     u[nz] = coeffs[nz] / mags[nz]
     return u
+
+
+def wide_hole_instance(seed):
+    """Signal and observations of a width-9 hole at ratio 0.3, as in criterion 5."""
+    x = benchmark_signal(seed=seed)
+    return x, observe(benchmark_system(), x, hole_mask(32, 16, 0.3, width=9, seed=seed))
 
 
 @pytest.fixture(scope="module")
@@ -329,7 +336,7 @@ class TestPciSolve:
 
     @pytest.mark.parametrize("max_sweeps", [0, -3])
     def test_no_budget_rejected(self, benchmark_instance, max_sweeps):
-        # no sweep would leave the random starting factor as the answer
+        # no iteration would leave the starting factor as the answer
         _, obs = benchmark_instance
         with pytest.raises(ValueError, match="max_sweeps"):
             pci_solve(phase_cost_matrix(obs), obs, PciConfig(max_sweeps=max_sweeps))
@@ -389,8 +396,7 @@ class TestPciSolve:
     def test_wide_hole_instance_converges(self, monkeypatch):
         # criterion-5 trial 2 at width 9, where the coordinate descent ran out
         # of its 500-sweep budget at -30.8 dB
-        x = benchmark_signal(seed=1236)
-        obs = observe(benchmark_system(), x, hole_mask(32, 16, 0.3, width=9, seed=1236))
+        x, obs = wide_hole_instance(1236)
         evaluations = []
 
         def counting(G, D, V):
@@ -403,6 +409,35 @@ class TestPciSolve:
         # a rejected Barzilai-Borwein step backtracks by interpolation; halving
         # took 3583 evaluations for 2192 iterations here (1.63 per iteration)
         assert len(evaluations) <= 1.45 * U.sweeps_run
+        assert error_db(x, pci_signal(obs, extract_phases(U))).e_db <= -50.0
+
+    def test_start_alone_recovers_wide_hole(self):
+        # the inverse-iteration start already points along the true phases;
+        # one iteration from the random start of earlier versions read -3.7 dB
+        x, obs = wide_hole_instance(1236)
+        U = pci_solve(phase_cost_matrix(obs), obs, PciConfig(max_sweeps=1))
+        assert error_db(x, pci_signal(obs, extract_phases(U))).e_db <= -40.0
+
+    @pytest.mark.parametrize("seed", [1930, 1956])
+    def test_held_out_wide_holes_clear_gradient_tolerance(self, seed):
+        # from a random start _GRAD_TOL stopped these at -53.3 and -54.6 dB
+        x, obs = wide_hole_instance(seed)
+        U = pci_solve(phase_cost_matrix(obs), obs)
+        assert U.converged
+        assert error_db(x, pci_signal(obs, extract_phases(U))).e_db <= -60.0
+
+    def test_zero_cost_rows_solve(self):
+        # zero-magnitude free cells give the cost exactly zero rows, which the
+        # start's shift keeps from making its linear solve singular
+        x = benchmark_signal(seed=1234).copy()
+        x[64:] = 0.0
+        obs = observe(benchmark_system(), x, random_mask(32, 16, 0.3, seed=1234))
+        cost = phase_cost_matrix(obs)
+        assert not np.all(cost.any(axis=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            U = pci_solve(cost, obs)
+        assert U.converged
         assert error_db(x, pci_signal(obs, extract_phases(U))).e_db <= -50.0
 
 
