@@ -31,6 +31,14 @@ _INIT_STREAM = 0x611A
 
 @dataclass(frozen=True)
 class GliConfig:
+    """``n_iter`` caps the iterations; ``residual_tol`` is absolute.
+
+    The loop stops once ||y - z|| changes by less than ``residual_tol`` in
+    one iteration, in the units of the magnitudes. So the rule depends on
+    the signal's scale: far below unit scale it fires at once, far above it
+    may never fire before ``n_iter``.
+    """
+
     n_iter: int = 2000
     residual_tol: float = 1e-12
 

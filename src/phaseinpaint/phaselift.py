@@ -13,11 +13,15 @@ of a line search are formed by linearity from M V and M d, so a step costs
 two dense products (M d and M^H W) and one sparse one. After this warm-up,
 Levenberg-Marquardt fits the constraints with a rank-one factor x, the
 leading singular direction of V (Gauss-Newton for phaseless data: Gao &
-Xu 2017). No n x n matrix is formed: the solver returns x, a fresh M V at
-each stage end gives ``feas_residual`` and ``converged``, and the
-diagnostics come from the singular values of the factor. The sparse
-constraint operators are the package's only use of scipy, which loads on
-the first pli solve of a process, not on import.
+Xu 2017). LM is first tried right after the first warm-up stage, with a
+small iteration cap: on most random masks and many holes it fits there
+and the solve ends. When it does not, its x is dropped and the remaining
+stages resume from V as it stands, so such a solve ends on the same bits
+as one without the trial. No n x n matrix is formed: the solver returns
+x, a fresh M V at each stage end gives ``feas_residual`` and
+``converged``, and the diagnostics come from the singular values of the
+factor. The sparse constraint operators are the package's only use of
+scipy, which loads on the first pli solve of a process, not on import.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .observe import Observations
 
 _WARM_RANK = 4  # columns of V in the warm-up penalty stages
 _WARM_STEPS = 200  # step cap per warm-up stage; LM only needs a good start
+_TRIAL_LM_STEPS = 25  # LM iteration cap of the trial after the first warm-up stage
 _INIT_SEED = 0x1F7  # seed of the orthonormal starting factor
 _LBFGS_MEMORY = 10  # (s, y) pairs kept; 5 lost a hole instance
 
@@ -43,10 +48,10 @@ class PliConfig:
     # fixed solver constants, readable but not settable; pli_solve keeps its
     # cfg parameter because perfbench/tracer.py's _pli_info binds it and reads
     # penalty_schedule[: max_outer] (until the tracer counts stages from
-    # stage_log, ROADMAP item 1), the tests the other two
+    # stage_log, ROADMAP item 2), the tests the other two
     penalty_schedule: ClassVar[tuple[float, ...]] = (1.0, 1e-1, 1e-2, 1e-3)
     max_outer: ClassVar[int] = 4
-    max_inner: ClassVar[int] = 500  # the LM iteration cap
+    max_inner: ClassVar[int] = 500  # the final LM's iteration cap; the trial's is _TRIAL_LM_STEPS
     feas_tol: ClassVar[float] = 1e-6
 
 
@@ -177,10 +182,12 @@ def _store_pair(memory: deque, s: np.ndarray, y: np.ndarray) -> None:
     """Keep the step s and gradient change y (flat, real) if their curvature is positive.
 
     The objective is quartic in V, so s.y can be negative; such a pair
-    would make the inverse Hessian indefinite and is dropped.
+    would make the inverse Hessian indefinite and is dropped. The test is
+    on the cosine of s and y, so it does not depend on the signal's scale
+    (s grows with it, y with its cube).
     """
     sy = float(np.dot(s, y))
-    if sy > 1e-12 * float(np.dot(y, y)):
+    if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
         memory.append((s, y, 1.0 / sy))
 
 
@@ -216,9 +223,12 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
     decreasing schedule of penalty weights, warm-starting each stage from
     the previous one with an empty memory, then Levenberg-Marquardt on
     ``||A(x x^H) - targets||^2`` (one damped solve and one candidate per
-    iteration) from the leading singular direction x of V. A stage's
-    ``iterations`` count its steps and its ``projections`` the candidates
-    its line searches evaluated.
+    iteration) from the leading singular direction x of V. LM runs once
+    after the first stage, at most ``_TRIAL_LM_STEPS`` iterations, and the
+    solve returns its x if that meets ``feas_tol``; otherwise the other
+    stages and a full LM follow. Each LM run is a ``lambda`` 0.0 entry of
+    the stage log. A stage's ``iterations`` count its steps and its
+    ``projections`` the candidates its line searches evaluated.
     Returns x (n x 1) with its relative constraint residual and the stage
     log; ``converged`` is False if the feasibility tolerance was not reached.
     """
@@ -254,7 +264,9 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
     rng = np.random.default_rng(_INIT_SEED)
     Q, _ = np.linalg.qr(rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
     V = Q * np.sqrt(tau0 / rank)
-    step = 1.0 / max(frame_weight * tau0, 1.0)  # steepest-descent step with no memory
+    # steepest-descent step with no memory; it scales as the signal^-2, as a
+    # step on V against a gradient of the signal's cube must
+    step = 1.0 / (frame_weight * tau0)
     stage_log: list[dict] = []
     stall_tol = 1e-15 * beta * beta
 
@@ -274,7 +286,43 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
         )
         return rel_feas
 
-    for lam in cfg.penalty_schedule:
+    def levenberg_marquardt(V: np.ndarray, max_iter: int) -> tuple[np.ndarray, float]:
+        """LM on the fit alone from the best rank-one lift of V, logged as a lambda-0 stage.
+
+        Returns x and its relative constraint residual; V is left as it is.
+        """
+        t0 = time.perf_counter()
+        U, s, _ = np.linalg.svd(V, full_matrices=False)
+        x = U[:, :1] * s[:1]
+        Mx = M @ x
+        res = residual(Mx)
+        f = float(np.vdot(res, res).real)
+        damping, JTJ, iterations = 1e-3, None, 0
+        for _ in range(max_iter):
+            iterations += 1
+            if JTJ is None:
+                # J^T r is half the gradient of ||r||^2, split into Re and Im parts
+                g = 0.5 * gradient(x, Mx, res, 0.0)
+                rhs, JTJ = -np.r_[g.real, g.imag], normal(Mx[:, 0])
+            # the Marquardt diagonal also damps the global-phase direction, which
+            # J^T J leaves free
+            delta = np.linalg.solve(JTJ + np.diag(damping * JTJ.diagonal()), rhs)
+            cand = x + delta[:n] + 1j * delta[n:]
+            M_cand = M @ cand
+            res_c = residual(M_cand)
+            f_c = float(np.vdot(res_c, res_c).real)
+            if not f_c < f:  # rejected; a step damped below round-off means x is stationary
+                damping *= 4.0
+                if damping > 1e16:
+                    break
+                continue
+            gain, damping, JTJ = f - f_c, damping / 3.0, None
+            x, Mx, res, f = cand, M_cand, res_c, f_c
+            if np.sqrt(f) / beta <= 0.3 * cfg.feas_tol or gain <= 1e-9 * (f + gain):
+                break
+        return x, log_stage(0.0, x, iterations, iterations, t0)
+
+    for k, lam in enumerate(cfg.penalty_schedule):
         mu = lam * beta**2 / tau0
         t0 = time.perf_counter()
         # the incumbent with M V and its gradient; within the stage M V follows
@@ -315,39 +363,14 @@ def pli_solve(obs: Observations, cfg: PliConfig = PliConfig()) -> LiftedMatrix:
             if stall >= 5:
                 break
         log_stage(lam, V, iterations, evaluations, t0)
+        if k == 0:
+            # the trial: LM right after the first stage often fits already; if
+            # it does not, its x is dropped and the warm-up goes on from V
+            x, rel_feas = levenberg_marquardt(V, _TRIAL_LM_STEPS)
+            if rel_feas <= cfg.feas_tol:
+                return LiftedMatrix(x, True, rel_feas, stage_log)
 
-    # Levenberg-Marquardt on the fit alone, from the best rank-one lift of V
-    t0 = time.perf_counter()
-    U, s, _ = np.linalg.svd(V, full_matrices=False)
-    x = U[:, :1] * s[:1]
-    Mx = M @ x
-    res = residual(Mx)
-    f = float(np.vdot(res, res).real)
-    damping, JTJ, iterations = 1e-3, None, 0
-    for _ in range(cfg.max_inner):
-        iterations += 1
-        if JTJ is None:
-            # J^T r is half the gradient of ||r||^2, split into Re and Im parts
-            g = 0.5 * gradient(x, Mx, res, 0.0)
-            rhs, JTJ = -np.r_[g.real, g.imag], normal(Mx[:, 0])
-        # the Marquardt diagonal also damps the global-phase direction, which
-        # J^T J leaves free
-        delta = np.linalg.solve(JTJ + np.diag(damping * JTJ.diagonal()), rhs)
-        cand = x + delta[:n] + 1j * delta[n:]
-        M_cand = M @ cand
-        res_c = residual(M_cand)
-        f_c = float(np.vdot(res_c, res_c).real)
-        if not f_c < f:  # rejected; a step damped below round-off means x is stationary
-            damping *= 4.0
-            if damping > 1e16:
-                break
-            continue
-        gain, damping, JTJ = f - f_c, damping / 3.0, None
-        x, Mx, res, f = cand, M_cand, res_c, f_c
-        if np.sqrt(f) / beta <= 0.3 * cfg.feas_tol or gain <= 1e-9 * (f + gain):
-            break
-    rel_feas = log_stage(0.0, x, iterations, iterations, t0)
-
+    x, rel_feas = levenberg_marquardt(V, cfg.max_inner)
     return LiftedMatrix(x, bool(rel_feas <= cfg.feas_tol), rel_feas, stage_log)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import full_constraints, pli_solve_all_pairs
 
+from phaseinpaint import phaselift
 from phaseinpaint.gabor import atom_matrix, hann_window, make_gabor_system
 from phaseinpaint.masks import hole_mask, random_mask
 from phaseinpaint.metrics import error_db
@@ -13,6 +14,7 @@ from phaseinpaint.observe import observe
 from phaseinpaint.phaselift import (
     LiftedMatrix,
     PliConfig,
+    _TRIAL_LM_STEPS,
     _lbfgs_direction,
     _operators,
     _rank_estimate,
@@ -57,6 +59,15 @@ def medium_instance():
     x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     mask = random_mask(8, 8, 0.3, seed=5)
     return x, observe(sys_, x, mask)
+
+
+@pytest.fixture(scope="module")
+def fallback_hole():
+    # reference hole w3/1234, where LM after the first warm-up stage falls short
+    from phaseinpaint.gabor import benchmark_system
+
+    x = benchmark_signal(seed=1234)
+    return observe(benchmark_system(), x, hole_mask(32, 16, 0.3, width=3, seed=1234))
 
 
 class TestBuildConstraints:
@@ -302,15 +313,35 @@ class TestLevenbergMarquardt:
             assert np.vdot(res_new, res_new).real <= 1e-2 * np.vdot(res, res).real
 
     def test_default_solve_logs_warm_up_then_lm(self, medium_instance):
+        # LM right after the first warm-up stage fits here, so the solve ends there
         _, obs = medium_instance
         lifted = pli_solve(obs)
         log = lifted.stage_log
-        schedule = PliConfig().penalty_schedule
-        assert len(log) == len(schedule) + 1
-        assert [entry["lambda"] for entry in log[:-1]] == list(schedule)
-        assert log[-1]["lambda"] == 0.0
+        assert [entry["lambda"] for entry in log] == [PliConfig().penalty_schedule[0], 0.0]
+        assert lifted.converged
         assert lifted.factor.shape == (32, 1)
+        assert 1 <= log[-1]["iterations"] <= _TRIAL_LM_STEPS
+
+    def test_failed_trial_resumes_the_warm_up(self, fallback_hole):
+        # a reference hole where the trial misses feas_tol: the remaining
+        # stages run, then LM with its full cap
+        lifted = pli_solve(fallback_hole)
+        schedule = PliConfig().penalty_schedule
+        log = lifted.stage_log
+        assert [entry["lambda"] for entry in log] == [schedule[0], 0.0, *schedule[1:], 0.0]
+        assert log[1]["feas_residual"] > PliConfig().feas_tol
+        assert 1 <= log[1]["iterations"] <= _TRIAL_LM_STEPS
         assert 1 <= log[-1]["iterations"] <= PliConfig().max_inner
+        assert lifted.converged
+
+    def test_failed_trial_leaves_the_factor_as_it_was(self, fallback_hole, monkeypatch):
+        # the warm-up resumes from the stage-1 factor as it stands, so the solve
+        # ends on the bits of one whose trial takes no LM iteration at all
+        with_trial = pli_solve(fallback_hole)
+        monkeypatch.setattr(phaselift, "_TRIAL_LM_STEPS", 0)
+        no_trial = pli_solve(fallback_hole)
+        assert no_trial.stage_log[1]["iterations"] == 0
+        assert np.array_equal(with_trial.factor, no_trial.factor)
 
 
 class TestPliSolve:
