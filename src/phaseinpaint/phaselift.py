@@ -9,13 +9,16 @@ The solver descends on a thin factor V (n x 4) of L = V V^H (Burer &
 Monteiro 2003): L is PSD by construction and trace(L) = ||V||_F^2. Each
 warm-up stage takes limited-memory BFGS steps on V (Liu & Nocedal 1989),
 as Burer & Monteiro did; V carries its product with M, and the candidates
-of a line search are formed by linearity from M V and M d, so a step costs
-two dense products (M d and M^H W) and one sparse one. After this warm-up,
-Levenberg-Marquardt fits the constraints with a rank-one factor x, the
-leading singular direction of V (Gauss-Newton for phaseless data: Gao &
-Xu 2017). LM is first tried right after the first warm-up stage, with a
-small iteration cap: on most random masks and many holes it fits there
-and the solve ends. When it does not, its x is dropped and the remaining
+of a line search are formed by linearity from M V and M d, so a warm-up
+step costs two dense products (M d and M^H W) and one sparse one. After
+this warm-up, Levenberg-Marquardt fits the constraints with a rank-one
+factor x, the leading singular direction of V (Gauss-Newton for phaseless
+data: Gao & Xu 2017). Each Gabor atom is zero off its frame's window, so
+LM's Gauss-Newton matrix is summed from one small block per frame on the
+window's samples, plus a low-rank term for the rows that pair two
+different cells. LM is first tried right after the first warm-up stage,
+with a small iteration cap: on most random masks and many holes it fits
+there and the solve ends. When it does not, its x is dropped and the remaining
 stages resume from V as it stands, so such a solve ends on the same bits
 as one without the trial. No n x n matrix is formed: the solver returns
 x, a fresh M V at each stage end gives ``feas_residual`` and
@@ -145,28 +148,80 @@ def _operators(obs: Observations, cons: PliConstraints):
     ``normal(u)`` is J^T J of the constraint residual at u = M x. For
     x = a + i b, row (i, j) of the residual u_i conj(u_j) - t moves by
     C [da; db] with C = [A + B, i (A - B)], A = diag(conj(u_j)) M[rows_i] and
-    B = diag(u_i) conj(M[rows_j]), and J^T J = Re(C^H C) (real, 2n x 2n). Its
-    blocks come from A^H A = M^H diag(w_a) M, B^H B = conj(M^H diag(w_b) M)
-    and A^H B = M^H P conj(M), with u_i u_j at (i, j) of the CSR matrix P.
+    B = diag(u_i) conj(M[rows_j]), so J^T J = Re(C^H C) (real, 2n x 2n) is
+    [[Re G, -Im G], [Im G, Re G]] + Y + Y^T, where G = A^H A + conj(B^H B)
+    = M^H diag(w) M with w summing |u_j|^2 on cell i and |u_i|^2 on cell j,
+    and Y = [[Re K, Im K], [Im K, -Re K]] for K = A^H B.
+
+    As bins >= len(window), row t bins + nu of M is zero off frame t's
+    window, the samples (t hop + p) mod n for p < len(window), so G is a sum
+    of per-frame blocks over M's entries there (``atoms``, frames x bins x
+    len(window)). So is the part of K from the rows with i = j, which is
+    symmetric: with H = atoms^H diag(2 u^2) conj(atoms) over those rows, a
+    frame adds [[Re G + Re H, Im H - Im G], [Im H + Im G, Re G - Re H]] on
+    its samples. The other rows give K = (M^H Q) conj(M[J]) over their
+    distinct j, Q holding u_i u_j at (i, j): rank one for the anchor of
+    ``build_constraints``, and nonzero only on the anchor frame's window.
+    One bincount adds the frame blocks, Y on those columns and Y^T on those
+    rows into J^T J.
     """
-    M = atom_matrix(obs.system)
-    MH, M_conj = np.ascontiguousarray(M.conj().T), np.conj(M)
-    n_cells = obs.system.n_cells
+    system = obs.system
+    M = atom_matrix(system)
+    MH = np.ascontiguousarray(M.conj().T)
+    n, n_cells = system.signal_len, system.n_cells
+    frames, bins, width = system.frames, system.bins, system.window.size
     rows_i, rows_j = cons.rows_i, cons.rows_j
     S, s_order = _scatter(np.r_[rows_j, rows_i], np.r_[rows_i, rows_j], n_cells)
-    P, p_order = _scatter(rows_i, rows_j, n_cells)
+
+    support = (system.hop * np.arange(frames)[:, None] + np.arange(width)) % n
+    atoms = np.take_along_axis(M.reshape(frames, bins, n), support[:, None, :], axis=2)
+    atoms_conj = np.conj(atoms)
+    atoms_h = np.ascontiguousarray(atoms_conj.transpose(0, 2, 1))
+    weighted = np.empty((2, frames, bins, width), dtype=complex)
+    blocks = np.empty((frames, 2, width, 2, width))
+    # w counts a row with i = j at both of its ends; that row's part of K is
+    # symmetric, so Y + Y^T doubles it, which H's factor 2 carries
+    ends, partners = np.r_[rows_i, rows_j], np.r_[rows_j, rows_i]
+    same = rows_i == rows_j
+    h_weight = 2.0 * np.bincount(rows_i[same], minlength=n_cells).reshape(frames, bins, 1)
+    cross_i, cross_j = rows_i[~same], rows_j[~same]
+    distinct_j, col_of = np.unique(cross_j, return_inverse=True)
+    window_cols = np.unique(support[distinct_j // bins])
+    atoms_j = np.conj(M[np.ix_(distinct_j, window_cols)])
+    # flat positions in J^T J: each frame's block, then Y with its columns in
+    # (Re, Im) pairs, then Y^T
+    frame_rows = np.stack([support, support + n], axis=1).reshape(frames, 2 * width)
+    pair_cols = np.stack([window_cols, window_cols + n], axis=1).ravel()
+    all_rows = np.arange(2 * n)[:, None]
+    flat_index = np.concatenate(
+        [
+            (frame_rows[:, :, None] * (2 * n) + frame_rows[:, None, :]).ravel(),
+            (all_rows * (2 * n) + pair_cols).ravel(),
+            (pair_cols * (2 * n) + all_rows).ravel(),
+        ]
+    )
 
     def grad(V: np.ndarray, MV: np.ndarray, res: np.ndarray, mu: float) -> np.ndarray:
         S.data = np.concatenate([np.conj(res), res]).take(s_order)
         return 2.0 * (MH @ (S @ MV) + mu * V)
 
     def normal(u: np.ndarray) -> np.ndarray:
-        AA = (MH * np.bincount(rows_i, np.abs(u[rows_j]) ** 2, minlength=n_cells)) @ M
-        BB = np.conj((MH * np.bincount(rows_j, np.abs(u[rows_i]) ** 2, minlength=n_cells)) @ M)
-        P.data = (u[rows_i] * u[rows_j]).take(p_order)
-        AB = MH @ (P @ M_conj)
-        both, herm, cross = AA + BB, AB + AB.conj().T, AA - BB - AB + AB.conj().T
-        return np.block([[both + herm, 1j * cross], [-1j * cross.conj().T, both - herm]]).real
+        power = u.real**2 + u.imag**2
+        w = np.bincount(ends, power[partners], minlength=n_cells)
+        np.multiply(atoms, w.reshape(frames, bins, 1), out=weighted[0])
+        np.multiply(atoms_conj, h_weight * (u * u).reshape(frames, bins, 1), out=weighted[1])
+        G, H = atoms_h @ weighted
+        np.add(G.real, H.real, out=blocks[:, 0, :, 0])
+        np.subtract(H.imag, G.imag, out=blocks[:, 0, :, 1])
+        np.add(H.imag, G.imag, out=blocks[:, 1, :, 0])
+        np.subtract(G.real, H.real, out=blocks[:, 1, :, 1])
+        Q = np.zeros((n_cells, distinct_j.size), dtype=complex)
+        np.add.at(Q, (cross_i, col_of), u[cross_i] * u[cross_j])
+        K = (MH @ Q) @ atoms_j
+        # Y's rows [Re K, Im K] and [Im K, -Re K], its columns in (Re, Im) pairs
+        y_values = np.concatenate([K, -1j * K]).view(np.float64).ravel()
+        values = np.concatenate([blocks.ravel(), y_values, y_values])
+        return np.bincount(flat_index, values, minlength=4 * n * n).reshape(2 * n, 2 * n)
 
     return grad, normal
 

@@ -295,6 +295,34 @@ class TestLevenbergMarquardt:
             assembled = normal(u)
             assert np.linalg.norm(assembled - explicit) <= 1e-12 * np.linalg.norm(explicit)
 
+    @pytest.mark.parametrize(
+        "width, hop, bins, signal_len",
+        [
+            (6, 4, 10, 48),  # width not a multiple of hop, bins not dividing n, wrapping frames
+            (16, 8, 20, 64),  # bins not dividing n
+            (8, 4, 8, 8),  # a window as long as the signal
+        ],
+    )
+    def test_normal_matrix_on_other_geometries(self, width, hop, bins, signal_len):
+        # the per-frame assembly against the row-by-row Jacobian off the
+        # benchmark's geometry, on the anchored and the all-pairs rows, and on
+        # a mask with no known cell, which has no anchor rows
+        system = make_gabor_system(hann_window(width), hop=hop, bins=bins, signal_len=signal_len)
+        M = atom_matrix(system)
+        rng = np.random.default_rng(signal_len)
+        x = rng.standard_normal(signal_len) + 1j * rng.standard_normal(signal_len)
+        for ratio in (0.3, 1.0):
+            obs = observe(system, x, random_mask(bins, system.frames, ratio, seed=1))
+            for cons in (full_constraints(obs), build_constraints(obs)):
+                u = M @ (rng.standard_normal(signal_len) + 1j * rng.standard_normal(signal_len))
+                A = np.conj(u[cons.rows_j])[:, None] * M[cons.rows_i]
+                B = u[cons.rows_i][:, None] * np.conj(M[cons.rows_j])
+                C = np.hstack([A + B, 1j * (A - B)])
+                explicit = (C.conj().T @ C).real
+                _, normal = _operators(obs, cons)
+                assembled = normal(u)
+                assert np.linalg.norm(assembled - explicit) <= 1e-12 * np.linalg.norm(explicit)
+
     def test_step_from_perturbed_signal_lowers_residual(self, medium_instance):
         # one damped Gauss-Newton step as pli takes it: J^T r is half the
         # factor gradient, packed as real and imaginary parts
