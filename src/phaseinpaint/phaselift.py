@@ -10,7 +10,7 @@ Monteiro 2003): L is PSD by construction and trace(L) = ||V||_F^2. Each
 warm-up stage takes limited-memory BFGS steps on V (Liu & Nocedal 1989),
 as Burer & Monteiro did; V carries its product with M, and the candidates
 of a line search are formed by linearity from M V and M d, so a warm-up
-step costs two dense products (M d and M^H W) and one sparse one. After
+step costs two dense products (M d and M^H W). After
 this warm-up, Levenberg-Marquardt fits the constraints with a rank-one
 factor x, the leading singular direction of V (Gauss-Newton for phaseless
 data: Gao & Xu 2017). Each Gabor atom is zero off its frame's window, so
@@ -23,8 +23,9 @@ stages resume from V as it stands, so such a solve ends on the same bits
 as one without the trial. No n x n matrix is formed: the solver returns
 x, a fresh M V at each stage end gives ``feas_residual`` and
 ``converged``, and the diagnostics come from the singular values of the
-factor. The sparse constraint operators are the package's only use of
-scipy, which loads on the first pli solve of a process, not on import.
+factor. The warm-up gradient reuses LM's split of the constraint rows
+into diagonal rows and rows that pair two cells, so the package needs
+numpy only.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ _WARM_STEPS = 200  # step cap per warm-up stage; LM only needs a good start
 _TRIAL_LM_STEPS = 25  # LM iteration cap of the trial after the first warm-up stage
 _INIT_SEED = 0x1F7  # seed of the orthonormal starting factor
 _LBFGS_MEMORY = 10  # (s, y) pairs kept; 5 lost a hole instance
+_RANK_REL_TOL = 1e-6  # eigenvalues above this share of the largest count toward the rank
 
 
 @dataclass(frozen=True)
@@ -126,24 +128,16 @@ def _row_products(cons: PliConstraints, A: np.ndarray, B: np.ndarray) -> np.ndar
     return np.einsum("rk,rk->r", A_i, np.conj(B_j))
 
 
-def _scatter(rows: np.ndarray, cols: np.ndarray, n_cells: int):
-    """CSR S with one unsummed entry per (rows[k], cols[k]); set ``S.data = values.take(order)``."""
-    import scipy.sparse as sp  # only pli needs scipy; gli, pci and rpi never load it
-    order = np.argsort(rows, kind="stable")
-    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n_cells))]
-    S = sp.csr_matrix(
-        (np.zeros(rows.size, dtype=complex), cols[order], indptr), shape=(n_cells, n_cells)
-    )
-    return S, order
-
-
 def _operators(obs: Observations, cons: PliConstraints):
     """``(grad, normal)``: the warm-up gradient and LM's Gauss-Newton matrix.
 
     ``grad(V, MV, res, mu)``, with MV = M V and res the constraint residual at
-    V, is the gradient 2 (M^H (S + S^H) M V + mu V) of ``||res||^2 + mu ||V||_F^2``:
-    one sparse and one dense product, one CSR matrix S holding conj(res) at
-    (j, i) and res at (i, j) for every row (i, j).
+    V, is the gradient 2 (M^H (S + S^H) M V + mu V) of ``||res||^2 + mu ||V||_F^2``,
+    S holding conj(res) at (j, i) for every row (i, j). A row with i = j adds
+    2 Re(res) MV[i] to row i of (S + S^H) M V. The other rows go through
+    Q (cells x their distinct j) holding res at (i, j), one column for the
+    anchor of ``build_constraints``: they add Q MV[J] on their cells and
+    Q^H MV on their partners J. One dense product with M^H follows.
 
     ``normal(u)`` is J^T J of the constraint residual at u = M x. For
     x = a + i b, row (i, j) of the residual u_i conj(u_j) - t moves by
@@ -159,11 +153,10 @@ def _operators(obs: Observations, cons: PliConstraints):
     len(window)). So is the part of K from the rows with i = j, which is
     symmetric: with H = atoms^H diag(2 u^2) conj(atoms) over those rows, a
     frame adds [[Re G + Re H, Im H - Im G], [Im H + Im G, Re G - Re H]] on
-    its samples. The other rows give K = (M^H Q) conj(M[J]) over their
-    distinct j, Q holding u_i u_j at (i, j): rank one for the anchor of
-    ``build_constraints``, and nonzero only on the anchor frame's window.
-    One bincount adds the frame blocks, Y on those columns and Y^T on those
-    rows into J^T J.
+    its samples. The other rows give K = (M^H Q) conj(M[J]), Q holding
+    u_i u_j at (i, j): rank one for the anchor, and nonzero only on the
+    anchor frame's window. One bincount adds the frame blocks, Y on those
+    columns and Y^T on those rows into J^T J.
     """
     system = obs.system
     M = atom_matrix(system)
@@ -171,7 +164,6 @@ def _operators(obs: Observations, cons: PliConstraints):
     n, n_cells = system.signal_len, system.n_cells
     frames, bins, width = system.frames, system.bins, system.window.size
     rows_i, rows_j = cons.rows_i, cons.rows_j
-    S, s_order = _scatter(np.r_[rows_j, rows_i], np.r_[rows_i, rows_j], n_cells)
 
     support = (system.hop * np.arange(frames)[:, None] + np.arange(width)) % n
     atoms = np.take_along_axis(M.reshape(frames, bins, n), support[:, None, :], axis=2)
@@ -183,8 +175,9 @@ def _operators(obs: Observations, cons: PliConstraints):
     # symmetric, so Y + Y^T doubles it, which H's factor 2 carries
     ends, partners = np.r_[rows_i, rows_j], np.r_[rows_j, rows_i]
     same = rows_i == rows_j
-    h_weight = 2.0 * np.bincount(rows_i[same], minlength=n_cells).reshape(frames, bins, 1)
-    cross_i, cross_j = rows_i[~same], rows_j[~same]
+    diagonal, cross = np.flatnonzero(same), np.flatnonzero(~same)
+    diag_cells, cross_i, cross_j = rows_i[diagonal], rows_i[cross], rows_j[cross]
+    h_weight = 2.0 * np.bincount(diag_cells, minlength=n_cells).reshape(frames, bins, 1)
     distinct_j, col_of = np.unique(cross_j, return_inverse=True)
     window_cols = np.unique(support[distinct_j // bins])
     atoms_j = np.conj(M[np.ix_(distinct_j, window_cols)])
@@ -201,9 +194,19 @@ def _operators(obs: Observations, cons: PliConstraints):
         ]
     )
 
+    def partner_matrix(values: np.ndarray) -> np.ndarray:
+        """Q with the cross rows' values at (i, column of j); no (i, j) repeats, so none add."""
+        Q = np.zeros((n_cells, distinct_j.size), dtype=complex)
+        Q[cross_i, col_of] = values
+        return Q
+
     def grad(V: np.ndarray, MV: np.ndarray, res: np.ndarray, mu: float) -> np.ndarray:
-        S.data = np.concatenate([np.conj(res), res]).take(s_order)
-        return 2.0 * (MH @ (S @ MV) + mu * V)
+        weight = np.bincount(diag_cells, 2.0 * res.take(diagonal).real, minlength=n_cells)
+        SMV = weight[:, None] * MV
+        Q = partner_matrix(res.take(cross))
+        SMV += Q @ MV[distinct_j]
+        SMV[distinct_j] += Q.conj().T @ MV
+        return 2.0 * (MH @ SMV + mu * V)
 
     def normal(u: np.ndarray) -> np.ndarray:
         power = u.real**2 + u.imag**2
@@ -215,9 +218,7 @@ def _operators(obs: Observations, cons: PliConstraints):
         np.subtract(H.imag, G.imag, out=blocks[:, 0, :, 1])
         np.add(H.imag, G.imag, out=blocks[:, 1, :, 0])
         np.subtract(G.real, H.real, out=blocks[:, 1, :, 1])
-        Q = np.zeros((n_cells, distinct_j.size), dtype=complex)
-        np.add.at(Q, (cross_i, col_of), u[cross_i] * u[cross_j])
-        K = (MH @ Q) @ atoms_j
+        K = (MH @ partner_matrix(u[cross_i] * u[cross_j])) @ atoms_j
         # Y's rows [Re K, Im K] and [Im K, -Re K], its columns in (Re, Im) pairs
         y_values = np.concatenate([K, -1j * K]).view(np.float64).ravel()
         values = np.concatenate([blocks.ravel(), y_values, y_values])
@@ -226,11 +227,11 @@ def _operators(obs: Observations, cons: PliConstraints):
     return grad, normal
 
 
-def _rank_estimate(eigvals: np.ndarray, rel_tol: float = 1e-6) -> int:
+def _rank_estimate(eigvals: np.ndarray) -> int:
     top = float(eigvals[-1])
     if top <= 0.0:
         return 0
-    return int(np.count_nonzero(eigvals > rel_tol * top))
+    return int(np.count_nonzero(eigvals > _RANK_REL_TOL * top))
 
 
 def _store_pair(memory: deque, s: np.ndarray, y: np.ndarray) -> None:

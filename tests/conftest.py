@@ -11,9 +11,9 @@ def full_constraints(obs) -> PliConstraints:
     """Every ordered pair of phase-known cells, then the phase-missing diagonal rows.
 
     A superset of ``build_constraints``' anchored rows, in the same layout:
-    pair (i, j) has target known_value[i] * conj(known_value[j]). Every
-    known cell's row of ``_operators``' CSR matrices then holds entries for
-    all known cells; the anchored rows fill only the anchor's row that way.
+    pair (i, j) has target known_value[i] * conj(known_value[j]). The rows
+    that pair two cells then give ``_operators``' partner matrix Q one column
+    per known cell; the anchored rows give it the anchor's column only.
     """
     known = obs.known_flat_indices()
     missing = obs.missing_flat_indices()

@@ -33,48 +33,26 @@ from phaseinpaint import observe, random_mask
 from phaseinpaint.gabor import hann_window, make_gabor_system
 from phaseinpaint.phasecut import pci_solve, phase_cost_matrix
 from phaseinpaint.phaselift import pli_solve
+from phaseinpaint.sweeps import ExperimentConfig, run_ratio_sweep
 
+cfg = ExperimentConfig(ratios=(0.5,), n_trials=1, methods=("gli", "pli", "pci", "rpi"))
+assert len(run_ratio_sweep(cfg)) == 4
 system = make_gabor_system(hann_window(4), 2, 4, 8)
 rng = np.random.default_rng(3)
 x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
 obs = observe(system, x, random_mask(4, 4, 0.3, seed=11))
 pli_solve(obs)
 pci_solve(phase_cost_matrix(obs), obs)
-assert "scipy.linalg" not in sys.modules, "scipy.linalg was imported"
-"""
-
-
-def test_solvers_do_not_load_scipy_linalg():
-    # numpy and scipy bundle separate OpenBLAS builds whose thread pools
-    # contend, so the solvers keep their dense linear algebra on numpy
-    proc = _run_python(_SCRIPT)
-    assert proc.returncode == 0, proc.stderr
-
-
-_SWEEP_SCRIPT = """
-import sys
-import numpy as np
-from phaseinpaint import observe, random_mask
-from phaseinpaint.gabor import hann_window, make_gabor_system
-from phaseinpaint.phaselift import pli_solve
-from phaseinpaint.sweeps import ExperimentConfig, run_ratio_sweep
-
-cfg = ExperimentConfig(ratios=(0.3,), n_trials=1, methods=("gli", "pci", "rpi"))
-assert len(run_ratio_sweep(cfg)) == 3
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert loaded == [], f"a gli/pci/rpi sweep loaded {loaded}"
-system = make_gabor_system(hann_window(4), 2, 4, 8)
-rng = np.random.default_rng(3)
-x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-pli_solve(observe(system, x, random_mask(4, 4, 0.3, seed=11)))
-assert "scipy.sparse" in sys.modules, "pli_solve did not load scipy.sparse"
-assert "scipy.linalg" not in sys.modules, "scipy.linalg was imported"
+assert loaded == [], f"the solvers loaded {loaded}"
 """
 
 
-def test_only_a_pli_solve_loads_scipy():
-    # a sweep without pli never imports scipy; the first pli solve does
-    proc = _run_python(_SWEEP_SCRIPT)
+def test_no_method_loads_scipy():
+    # numpy and scipy bundle separate OpenBLAS builds whose thread pools
+    # contend, so the package runs on numpy alone: a sweep of all four
+    # methods and direct pli and pci solves load no scipy module
+    proc = _run_python(_SCRIPT)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -85,8 +63,8 @@ def test_root_exports_exactly_the_quick_start_names():
 
 
 def test_root_import_loads_no_solver_or_scipy():
-    # pli, pci and the sweeps load only when their own modules are imported;
-    # scipy loads only when a pli solve runs
+    # pli, pci and the sweeps load only when their own modules are imported,
+    # and no module of the package imports scipy
     proc = _run_python("import sys, phaseinpaint; print(*sys.modules)")
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())

@@ -189,19 +189,31 @@ class TestFactorResiduals:
                     central = (objective(V + h * D, mu) - objective(V - h * D, mu)) / (2 * h)
                     assert central == pytest.approx(float(np.vdot(G, D).real), rel=1e-7)
 
-    def test_merged_scatter_matches_dense_gradient(self, medium_instance):
-        # one CSR matrix for S + S^H, its shared cells kept as separate
-        # entries, against the dense 2 (M^H (S + S^H) M V + mu V); the
-        # all-pairs rows fill every known cell's row of S, the anchored rows
-        # the anchor's only
-        _, obs = medium_instance
-        M = atom_matrix(obs.system)
-        rng = np.random.default_rng(6)
-        V = rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3))
+    @pytest.mark.parametrize("ratio", [0.3, 1.0])
+    @pytest.mark.parametrize(
+        "width, hop, bins, signal_len",
+        [
+            (8, 4, 8, 32),  # medium_instance's geometry
+            (6, 4, 10, 48),  # width not a multiple of hop, bins not dividing n, wrapping frames
+            (16, 8, 20, 64),  # bins not dividing n
+            (8, 4, 8, 8),  # a window as long as the signal
+        ],
+    )
+    def test_merged_scatter_matches_dense_gradient(self, width, hop, bins, signal_len, ratio):
+        # the diagonal rows' weights and the partner matrix Q for S + S^H,
+        # against the dense 2 (M^H (S + S^H) M V + mu V); the all-pairs rows
+        # give Q a column per known cell, the anchored rows one, and a mask
+        # with no known cell (ratio 1.0) no cross rows and an empty Q
+        system = make_gabor_system(hann_window(width), hop=hop, bins=bins, signal_len=signal_len)
+        M = atom_matrix(system)
+        rng = np.random.default_rng(signal_len)
+        x = rng.standard_normal(signal_len) + 1j * rng.standard_normal(signal_len)
+        obs = observe(system, x, random_mask(bins, system.frames, ratio, seed=1))
+        V = rng.standard_normal((signal_len, 3)) + 1j * rng.standard_normal((signal_len, 3))
         for cons in (full_constraints(obs), build_constraints(obs)):
             res = _factor_values(obs, cons, V) - cons.targets
             rows_i, rows_j = cons.rows_i, cons.rows_j
-            S = np.zeros((obs.system.n_cells,) * 2, dtype=complex)
+            S = np.zeros((system.n_cells,) * 2, dtype=complex)
             np.add.at(S, (rows_j, rows_i), np.conj(res))
             gradient, _ = _operators(obs, cons)
             for mu in (0.0, 0.7):
