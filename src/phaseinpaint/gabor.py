@@ -121,6 +121,36 @@ def atom_matrix(sys: GaborSystem) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def frame_atoms(sys: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
+    """``(support, atoms)``: each frame's window samples and its atoms there.
+
+    Row t*bins+nu of the analysis matrix is zero off frame t's window, the
+    samples ``support[t] = (t*hop + p) mod signal_len`` for p < len(window);
+    ``atoms[t, nu]`` holds that row's entries on them (frames x bins x
+    len(window)).
+    """
+    n = sys.signal_len
+    support = (sys.hop * np.arange(sys.frames)[:, None] + np.arange(sys.window.size)) % n
+    atoms = np.take_along_axis(
+        atom_matrix(sys).reshape(sys.frames, sys.bins, n), support[:, None, :], axis=2
+    )
+    support.setflags(write=False)
+    atoms.setflags(write=False)
+    return support, atoms
+
+
+def frame_analysis(sys: GaborSystem, x: np.ndarray) -> np.ndarray:
+    """``atom_matrix(sys) @ x`` for a length-n vector, frame by frame on the windows.
+
+    One stacked product of ``frame_atoms`` with the window samples of x:
+    bins x len(window) multiplies per frame in place of bins x n. Any other
+    shape of x raises ``ValueError``, as in :func:`stft`.
+    """
+    support, atoms = frame_atoms(sys)
+    return np.matmul(atoms, _signal(sys, x).take(support)[:, :, None]).ravel()
+
+
+@lru_cache(maxsize=16)
 def synthesis_matrix(sys: GaborSystem) -> np.ndarray:
     """Pseudo-inverse of the analysis matrix (least-squares synthesis)."""
     pinv = np.linalg.pinv(atom_matrix(sys))
@@ -137,12 +167,17 @@ def range_projector(sys: GaborSystem) -> np.ndarray:
     return proj
 
 
-def stft(sys: GaborSystem, x: np.ndarray) -> np.ndarray:
-    """Analysis coefficients of ``x`` as a bins-by-frames complex grid."""
+def _signal(sys: GaborSystem, x: np.ndarray) -> np.ndarray:
+    """``x`` as an array after checking that it is a length-n vector."""
     x = np.asarray(x)
     if x.shape != (sys.signal_len,):
         raise ValueError(f"signal must have shape ({sys.signal_len},), got {x.shape}")
-    return unflatten_grid(sys, atom_matrix(sys) @ x)
+    return x
+
+
+def stft(sys: GaborSystem, x: np.ndarray) -> np.ndarray:
+    """Analysis coefficients of ``x`` as a bins-by-frames complex grid."""
+    return unflatten_grid(sys, atom_matrix(sys) @ _signal(sys, x))
 
 
 def _flat_coeffs(sys: GaborSystem, coeffs: np.ndarray) -> np.ndarray:
@@ -163,9 +198,13 @@ def istft(sys: GaborSystem, coeffs: np.ndarray) -> np.ndarray:
 def consistency_projection(sys: GaborSystem, coeffs: np.ndarray) -> np.ndarray:
     """Project a coefficient grid onto the set of realizable analyses.
 
-    Equivalent to analysis(synthesis(coeffs)); idempotent and self-adjoint.
+    Computed as analysis(synthesis(coeffs)): one product with the n x cells
+    synthesis matrix, then :func:`frame_analysis`, in place of the cells x
+    cells ``range_projector``, which it matches to rounding. Idempotent and
+    self-adjoint.
     """
-    return unflatten_grid(sys, range_projector(sys) @ _flat_coeffs(sys, coeffs))
+    x = synthesis_matrix(sys) @ _flat_coeffs(sys, coeffs)
+    return unflatten_grid(sys, frame_analysis(sys, x))
 
 
 @lru_cache(maxsize=1)

@@ -8,13 +8,19 @@ computed once per solve, and an iteration takes the phases of the missing
 cells only and writes them back into the grid in place. The distance
 between the two projections never increases, which is asserted in tests.
 
-:func:`clamp` is the full-grid measurement projection and the reference the
-tests replay bit for bit. On 2 cores with 2 BLAS threads, an iteration of
-the 80 reference solves (seeds 1234-1243, hole widths 3/5/7/9 at ratio 0.3,
-random masks at ratios 0.1/0.3/0.5/0.6) takes 65-70 us against 75-95 us
-with a full-grid ``clamp`` per iteration, and the benchmark's ``holes``
-workload completes a median of 11.1 instances/s against 8.9
-(``BENCH_16.json``).
+The former is analysis after synthesis. An iteration synthesizes the
+missing cells through their columns of the synthesis matrix (n x k for k
+missing cells) and analyses that signal frame by frame on the windows
+(:func:`~phaseinpaint.gabor.frame_analysis`), rather than multiplying by
+a cells x k block of the range projector. :func:`clamp` is the full-grid
+measurement projection and the reference the tests replay bit for bit
+after those two products. On 2 cores with 2 BLAS threads, an iteration of
+the 80 reference solves (seeds 1234-1243, hole widths 3/5/7/9 at ratio
+0.3, random masks at ratios 0.1/0.3/0.5/0.6) takes 27-41 us against
+34-50 us through the range projector's columns in the same alternated
+rounds, and the benchmark's ``holes`` workload completes a median of
+28.8 instances/s against 22.7, and 33.9 against 27.4 in a second set of
+ten alternated pairs (``BENCH_29.json``).
 """
 
 from __future__ import annotations
@@ -23,7 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gabor import consistency_projection, istft, range_projector, unflatten_grid
+from .gabor import (
+    consistency_projection,
+    flatten_grid,
+    frame_analysis,
+    istft,
+    synthesis_matrix,
+    unflatten_grid,
+)
 from .observe import Observations
 
 _INIT_STREAM = 0x611A
@@ -82,22 +95,22 @@ def gli_run(obs: Observations, cfg: GliConfig = GliConfig(), seed: int = 0) -> G
     phi0 = rng.uniform(0.0, 2.0 * np.pi, size=obs.mask.shape)
     phase = obs.mask * np.angle(obs.known) + (1 - obs.mask) * phi0
     y = obs.magnitudes * np.exp(1j * phase)
-    # P y = P[:, known] y_known + P[:, free] y_free, and y_known never changes.
+    # P y = A S[:, known] y_known + A S[:, free] y_free for the analysis A and
+    # synthesis S, and y_known never changes; A is applied frame by frame.
     free = obs.missing_flat_indices()
-    cells = np.unravel_index(free, obs.mask.shape, order="F")
-    z_known = consistency_projection(system, np.where(obs.mask == 1, y, 0))
-    p_free = np.take(range_projector(system), free, axis=1)  # one C-order copy: BLAS path of P @ y
-    mag_free, y_free = obs.magnitudes[cells], y[cells]
-    # clamp sets the known cells once; its memory layout fixes the summation
-    # order of the residual's norm, so y keeps it and changes in place.
-    y = clamp(z_known, obs)
+    z_known = flatten_grid(consistency_projection(system, np.where(obs.mask == 1, y, 0)))
+    s_free = np.take(synthesis_matrix(system), free, axis=1)  # one C-order copy: BLAS path of S @ y
+    mag_free, y_free = flatten_grid(obs.magnitudes)[free], flatten_grid(y)[free]
+    # clamp sets the known cells once; y is kept flat in cell order, and the
+    # loop writes its free cells in place
+    y = flatten_grid(clamp(unflatten_grid(system, z_known), obs))
     trace: list[float] = []
     prev_res = None
     converged = False
     for _ in range(cfg.n_iter):
-        z = z_known + unflatten_grid(system, p_free @ y_free)
-        y_free = mag_free * np.exp(1j * np.angle(z[cells]))
-        y[cells] = y_free
+        z = z_known + frame_analysis(system, s_free @ y_free)
+        y_free = mag_free * np.exp(1j * np.angle(z.take(free)))
+        y.put(free, y_free)
         res = float(np.linalg.norm(y - z))
         trace.append(res)
         if prev_res is not None and abs(prev_res - res) < cfg.residual_tol:
@@ -105,7 +118,7 @@ def gli_run(obs: Observations, cfg: GliConfig = GliConfig(), seed: int = 0) -> G
             break
         prev_res = res
     return GliResult(
-        x_hat=istft(system, y),
+        x_hat=istft(system, unflatten_grid(system, y)),
         iterations_run=len(trace),
         residual_trace=np.asarray(trace),
         converged=converged,

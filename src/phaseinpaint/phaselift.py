@@ -37,7 +37,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .gabor import atom_matrix, flatten_grid, istft
+from .gabor import atom_matrix, flatten_grid, frame_atoms, istft
 from .observe import Observations
 
 _WARM_RANK = 4  # columns of V in the warm-up penalty stages
@@ -165,8 +165,7 @@ def _operators(obs: Observations, cons: PliConstraints):
     frames, bins, width = system.frames, system.bins, system.window.size
     rows_i, rows_j = cons.rows_i, cons.rows_j
 
-    support = (system.hop * np.arange(frames)[:, None] + np.arange(width)) % n
-    atoms = np.take_along_axis(M.reshape(frames, bins, n), support[:, None, :], axis=2)
+    support, atoms = frame_atoms(system)
     atoms_conj = np.conj(atoms)
     atoms_h = np.ascontiguousarray(atoms_conj.transpose(0, 2, 1))
     weighted = np.empty((2, frames, bins, width), dtype=complex)

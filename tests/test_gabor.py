@@ -12,6 +12,8 @@ from phaseinpaint.gabor import (
     benchmark_system,
     consistency_projection,
     flatten_grid,
+    frame_analysis,
+    frame_atoms,
     hann_window,
     istft,
     make_gabor_system,
@@ -292,6 +294,53 @@ class TestConsistencyProjection:
         lhs = np.vdot(flatten_grid(pa), flatten_grid(B))
         rhs = np.vdot(flatten_grid(A), flatten_grid(pb))
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+# (window, hop, bins, n): frames that wrap with a window no multiple of the
+# hop, bins that divide nothing, and a window as long as the signal
+OFF_BENCHMARK = [(6, 4, 10, 48), (16, 8, 20, 64), (8, 4, 8, 8)]
+
+
+def geometry_system(geometry):
+    if geometry is None:
+        return benchmark_system()
+    width, hop, bins, n = geometry
+    return make_gabor_system(hann_window(width), hop=hop, bins=bins, signal_len=n)
+
+
+@pytest.mark.parametrize(
+    "geometry", [None, *OFF_BENCHMARK], ids=["benchmark", "w6h4b10n48", "w16h8b20n64", "w8h4b8n8"]
+)
+class TestFrameAnalysis:
+    def test_atoms_hold_every_nonzero_of_atom_matrix(self, geometry):
+        sys_ = geometry_system(geometry)
+        support, atoms = frame_atoms(sys_)
+        dense = np.zeros((sys_.frames, sys_.bins, sys_.signal_len), dtype=complex)
+        np.put_along_axis(dense, support[:, None, :], atoms, axis=2)
+        assert np.array_equal(dense.reshape(sys_.n_cells, sys_.signal_len), atom_matrix(sys_))
+
+    def test_matches_atom_matrix(self, geometry):
+        sys_ = geometry_system(geometry)
+        x = random_signal(np.random.default_rng(12), sys_.signal_len)
+        dense = atom_matrix(sys_) @ x
+        assert np.linalg.norm(frame_analysis(sys_, x) - dense) <= 1e-13 * np.linalg.norm(dense)
+
+    def test_length_mismatch(self, geometry):
+        # frame_analysis reads only the window samples, so a longer signal
+        # would pass its gather unnoticed
+        sys_ = geometry_system(geometry)
+        for length in (sys_.signal_len - 1, sys_.signal_len + 1):
+            with pytest.raises(ValueError, match="shape"):
+                frame_analysis(sys_, np.zeros(length))
+
+    def test_consistency_projection_matches_range_projector(self, geometry):
+        sys_ = geometry_system(geometry)
+        rng = np.random.default_rng(13)
+        shape = (sys_.bins, sys_.frames)
+        C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        dense = range_projector(sys_) @ flatten_grid(C)
+        got = flatten_grid(consistency_projection(sys_, C))
+        assert np.linalg.norm(got - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
 class TestFrameProperties:

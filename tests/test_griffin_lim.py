@@ -9,8 +9,9 @@ from phaseinpaint.gabor import (
     benchmark_system,
     consistency_projection,
     flatten_grid,
+    frame_analysis,
     istft,
-    range_projector,
+    synthesis_matrix,
     unflatten_grid,
 )
 from phaseinpaint.griffin_lim import GliConfig, clamp, gli_run
@@ -148,9 +149,10 @@ class TestGliRun:
 
     @pytest.mark.parametrize("kind", ["random", "hole", "all_missing", "all_known"])
     def test_free_cell_loop_matches_clamp_bit_for_bit(self, kind):
-        # gli updates only the free cells in place; replaying clamp on the
-        # whole grid must give the same bits, the residual's summation order
-        # (clamp's memory layout) included
+        # gli updates only the free cells in place, through the free columns
+        # of the synthesis matrix and the per-frame analysis; replaying clamp
+        # on the whole grid with those two products must give the same bits,
+        # the residual summed in cell order included
         sys_ = benchmark_system()
         x = benchmark_signal(seed=10)
         mask = {
@@ -168,12 +170,12 @@ class TestGliRun:
         )
         free = obs.missing_flat_indices()
         z_known = consistency_projection(sys_, np.where(obs.mask == 1, y, 0))
-        p_free = np.ascontiguousarray(range_projector(sys_)[:, free])
+        s_free = np.ascontiguousarray(synthesis_matrix(sys_)[:, free])
         trace = []
         for _ in range(40):
-            z = z_known + unflatten_grid(sys_, p_free @ flatten_grid(y)[free])
+            z = z_known + unflatten_grid(sys_, frame_analysis(sys_, s_free @ flatten_grid(y)[free]))
             y = clamp(z, obs)
-            trace.append(np.linalg.norm(y - z))
+            trace.append(np.linalg.norm(flatten_grid(y - z)))
         assert result.iterations_run == 40
         assert np.array_equal(result.residual_trace, trace)
         assert np.array_equal(result.x_hat, istft(sys_, y))
@@ -225,11 +227,12 @@ class TestGliRun:
         assert result.iterations_run < 2000
 
     def test_copies_projector_columns_once(self):
-        # the free columns of P form one cells x k complex block (512 x 205,
-        # 1.68 MB); fancy indexing and then a C-order copy would hold two
+        # the free columns of the synthesis matrix form one n x k complex
+        # block (128 x 205, 0.42 MB); fancy indexing and then a C-order copy
+        # would hold two
         _, obs = make_obs(0.4, seed=2)
         gli_run(obs, GliConfig(n_iter=1), seed=2)  # caches the system's operators
-        block = obs.mask.size * obs.missing_flat_indices().size * 16
+        block = obs.system.signal_len * obs.missing_flat_indices().size * 16
         tracemalloc.start()
         try:
             gli_run(obs, GliConfig(n_iter=5), seed=2)
