@@ -23,6 +23,15 @@ from phaseinpaint.signals import benchmark_signal
 SHAPE = (32, 16)
 
 
+def unit(z):
+    """z / |z| with each part divided by |z|, and 1 at a zero entry."""
+    r = np.abs(np.where(z == 0, 1.0, z))
+    out = np.empty(z.shape, dtype=complex)
+    out.real, out.imag = z.real / r, z.imag / r
+    out[z == 0] = 1.0
+    return out
+
+
 def make_obs(ratio, seed, width=None):
     sys_ = benchmark_system()
     x = benchmark_signal(seed=seed)
@@ -53,10 +62,12 @@ class TestClamp:
 
     def test_zero_entry_gets_zero_phase(self):
         _, obs = make_obs(0.3, seed=3)
-        z = np.zeros(SHAPE, dtype=complex)
-        out = clamp(z, obs)
         off = obs.mask == 0
-        assert np.allclose(out[off], obs.magnitudes[off])  # phase 0 by convention
+        for re_, im in ((0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)):
+            z = np.full(SHAPE, complex(re_, im))
+            out = clamp(z, obs)
+            # phase 0 by convention, the signs of the zeros included
+            assert out[off].tobytes() == obs.magnitudes[off].astype(complex).tobytes()
 
     def test_nearest_point_property(self):
         # clamp beats random feasible grids in Frobenius distance
@@ -81,15 +92,16 @@ class TestClamp:
         rng = np.random.default_rng(3)
         z = rng.standard_normal(SHAPE) + 1j * rng.standard_normal(SHAPE)
         off, on = np.argwhere(obs.mask == 0), np.argwhere(obs.mask == 1)
-        z[tuple(off[0])] = z[tuple(on[0])] = 0.0
-        z[tuple(off[1])] = complex(0.0, -0.0)
-        z[tuple(off[2])] = complex(-0.0, -0.0)
-        old = obs.magnitudes * np.exp(
-            1j * (obs.mask * np.angle(obs.known) + (1 - obs.mask) * np.angle(z))
-        )
+        zeros = [complex(0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]
+        for cell, zero in zip(off[:4], zeros):
+            z[tuple(cell)] = zero
+        z[tuple(on[0])] = complex(-0.0, -0.0)
+        known = np.exp(1j * np.angle(obs.known))
+        formula = obs.magnitudes * np.where(obs.mask == 1, known, unit(z))
         new = clamp(z, obs)
-        assert np.array_equal(new, old)
-        assert new.tobytes() == old.tobytes()  # signs of zeros included
+        assert new.tobytes() == formula.tobytes()  # signs of zeros included
+        for cell in off[:4]:
+            assert new[tuple(cell)] == obs.magnitudes[tuple(cell)]
 
 
 class TestGliRun:
@@ -147,19 +159,22 @@ class TestGliRun:
         assert np.allclose(result.residual_trace, trace, rtol=1e-10, atol=0.0)
         assert np.linalg.norm(result.x_hat - x_full) <= 1e-10 * np.linalg.norm(x_full)
 
-    @pytest.mark.parametrize("kind", ["random", "hole", "all_missing", "all_known"])
+    @pytest.mark.parametrize("kind", ["random", "hole", "all_missing", "all_known", "subnormal"])
     def test_free_cell_loop_matches_clamp_bit_for_bit(self, kind):
         # gli updates only the free cells in place, through the free columns
         # of the synthesis matrix and the per-frame analysis; replaying clamp
         # on the whole grid with those two products must give the same bits,
-        # the residual summed in cell order included
+        # the residual sqrt(vdot(d, d)) over d = y - z in cell order included.
+        # At 2^-1072 some free cells' projections underflow to exactly zero
+        # while their magnitudes do not, so the loop's zero-cell branch runs.
         sys_ = benchmark_system()
-        x = benchmark_signal(seed=10)
+        x = benchmark_signal(seed=10) * (2.0**-1072 if kind == "subnormal" else 1.0)
         mask = {
             "random": random_mask(*SHAPE, 0.3, seed=10),
             "hole": hole_mask(*SHAPE, 0.3, 7, seed=10),
             "all_missing": np.zeros(SHAPE, dtype=int),
             "all_known": np.ones(SHAPE, dtype=int),
+            "subnormal": random_mask(*SHAPE, 0.3, seed=10),
         }[kind]
         obs = observe(sys_, x, mask)
         result = gli_run(obs, GliConfig(n_iter=40, residual_tol=0.0), seed=10)
@@ -171,14 +186,28 @@ class TestGliRun:
         free = obs.missing_flat_indices()
         z_known = consistency_projection(sys_, np.where(obs.mask == 1, y, 0))
         s_free = np.ascontiguousarray(synthesis_matrix(sys_)[:, free])
-        trace = []
+        trace, zero_cells = [], 0
         for _ in range(40):
             z = z_known + unflatten_grid(sys_, frame_analysis(sys_, s_free @ flatten_grid(y)[free]))
+            zero_cells += np.count_nonzero((z == 0) & (obs.magnitudes > 0) & (obs.mask == 0))
             y = clamp(z, obs)
-            trace.append(np.linalg.norm(flatten_grid(y - z)))
+            d = flatten_grid(y - z)
+            trace.append(np.sqrt(np.vdot(d, d).real))
+        assert (zero_cells > 0) == (kind == "subnormal")
         assert result.iterations_run == 40
         assert np.array_equal(result.residual_trace, trace)
         assert np.array_equal(result.x_hat, istft(sys_, y))
+
+    def test_all_zero_observations(self):
+        # every projection is exactly zero: each free cell's 0 / 0 must take
+        # its (zero) magnitude, so nothing NaN leaks and the plateau fires
+        sys_ = benchmark_system()
+        obs = observe(sys_, np.zeros(128), random_mask(*SHAPE, 0.5, seed=0))
+        result = gli_run(obs, seed=0)
+        assert result.converged
+        assert result.iterations_run == 2
+        assert np.all(np.isfinite(result.residual_trace))
+        assert np.array_equal(result.x_hat, np.zeros(128))
 
     def test_all_known_stops_on_plateau_at_second_iteration(self):
         sys_ = benchmark_system()
@@ -210,7 +239,7 @@ class TestGliRun:
         y = obs.magnitudes * np.exp(1j * phi0)
         for _ in range(50):
             z = consistency_projection(sys_, y)
-            y = obs.magnitudes * np.exp(1j * np.angle(z))
+            y = obs.magnitudes * unit(z)
         classic = istft(sys_, y)
         assert np.array_equal(result.x_hat, classic)
 
