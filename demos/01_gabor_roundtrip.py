@@ -1,8 +1,10 @@
 """Build a circular Gabor system and verify exact analysis/synthesis.
 
-The synthesis operator is the pseudo-inverse of the analysis matrix, so a
-round trip through the time-frequency domain reproduces any signal to
-machine precision whenever the window shifts cover every sample.
+Every system make_gabor_system accepts has a diagonal frame operator, so
+the synthesis operator, the pseudo-inverse of the analysis matrix, is the
+analysis matrix's adjoint divided by that diagonal, and a round trip
+through the time-frequency domain reproduces any signal to machine
+precision.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ coeffs = stft(sys_, x)
 x_back = istft(sys_, coeffs)
 print(f"round-trip error: {error_db(x, x_back).e_db:.0f} dB")
 
-# the same works for any covering geometry, such as a shorter window
+# the same works for any accepted geometry, such as a shorter window
 small = make_gabor_system(hann_window(8), hop=4, bins=16, signal_len=64)
 y = rng.standard_normal(64)
 print(f"8-sample window round trip: {error_db(y, istft(small, stft(small, y))).e_db:.0f} dB")

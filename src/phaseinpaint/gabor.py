@@ -2,9 +2,11 @@
 
 Everything here is circular: frames wrap around the signal boundary, so a
 system with ``frames * hop == signal_len`` tiles the whole signal exactly.
-The synthesis operator is the Moore-Penrose pseudo-inverse of the analysis
-matrix, which makes analysis -> synthesis an exact round trip whenever the
-window shifts cover every sample.
+Every accepted system is a painless frame (Daubechies, Grossmann & Meyer
+1986): its frame operator ``M^H M`` is the diagonal
+``f[n] = bins * sum_{p = n mod hop} w[p]^2``. So the synthesis operator, the
+Moore-Penrose pseudo-inverse of the analysis matrix M, is ``M^H / f`` in
+closed form, and analysis -> synthesis is an exact round trip.
 """
 
 from __future__ import annotations
@@ -52,9 +54,12 @@ def make_gabor_system(window, hop: int, bins: int, signal_len: int) -> GaborSyst
 
     * ``hop``, ``bins`` and ``signal_len`` are positive integers, not booleans,
     * ``signal_len`` is a multiple of ``hop`` (circular framing),
-    * ``bins >= len(window)`` (diagonal frame operator, exact inverse),
+    * the frame operator is diagonal: ``bins >= len(window)``, and when the
+      window is longer than the hop (so a frame wraps round the signal's
+      end), ``signal_len % bins`` is 0 or at least ``len(window)``,
     * the window is real, finite, not identically zero, and its hop-shifted
-      copies cover every sample (otherwise synthesis cannot be exact).
+      copies cover every sample with squares that do not underflow next to
+      the window's peak (otherwise the diagonal has a zero).
     """
     w = np.asarray(window, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -73,24 +78,41 @@ def make_gabor_system(window, hop: int, bins: int, signal_len: int) -> GaborSyst
         )
     if w.size > signal_len:
         raise ValueError("window cannot be longer than the signal")
-    if bins < w.size:
+    # M^H M[n, m] sums w[p] w[p'] exp(2 pi i nu (n - m) / bins) over the bins
+    # nu, which cancels unless bins divides n - m. Within a frame bins >=
+    # len(w) rules that out, except where the frame wraps round the signal's
+    # end (a window longer than the hop): samples p > p' land on
+    # n - m = p - p' - signal_len, which bins divides iff p - p' equals
+    # signal_len % bins, and such a pair exists iff that is in [1, len(w)).
+    if bins < w.size or w.size > hop and 1 <= signal_len % bins < w.size:
         raise ValueError(
-            f"bins ({bins}) must be >= window length ({w.size}) so the frame "
-            "operator stays diagonal"
+            f"bins ({bins}) must be >= window length ({w.size}), and signal_len % bins "
+            f"({signal_len % bins}) 0 or >= it when the window is longer than the hop "
+            f"({hop}), so the frame operator stays diagonal"
         )
     frames = signal_len // hop
-    # Sample n is covered iff a window sample j = n (mod hop) is nonzero: a
-    # fold of counts (squares could overflow or underflow), not a sum over
-    # frames. A hop longer than the window leaves gaps; testing that first
-    # keeps the fold at most len(w) entries long.
-    covered = hop <= w.size and np.all(
-        np.bincount(np.arange(w.size) % hop, weights=w != 0.0, minlength=hop) > 0.0
-    )
-    if not covered:
-        raise ValueError("window shifts leave at least one sample uncovered")
+    # A hop longer than the window leaves gaps; testing that first keeps the
+    # fold at most len(w) entries long.
+    if hop > w.size or not np.all(_square_fold(w, hop) > 0.0):
+        raise ValueError(
+            "window shifts leave at least one sample uncovered, or covered only by "
+            "samples whose squares underflow next to the window's peak"
+        )
     w = w.copy()
     w.setflags(write=False)
     return GaborSystem(window=w, hop=hop, bins=bins, frames=frames, signal_len=signal_len)
+
+
+def _square_fold(w: np.ndarray, hop: int) -> np.ndarray:
+    """``(w / peak)^2`` folded modulo hop: the frame operator's diagonal over bins * peak^2.
+
+    Sample n of the signal has ``f[n] = bins * peak^2 * fold[n % hop]``;
+    scaling by the peak keeps the squares of very large or small windows in
+    range.
+    """
+    return np.bincount(
+        np.arange(w.size) % hop, weights=np.square(w / np.max(np.abs(w))), minlength=hop
+    )
 
 
 def flatten_grid(grid: np.ndarray) -> np.ndarray:
@@ -152,17 +174,43 @@ def frame_analysis(sys: GaborSystem, x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def synthesis_matrix(sys: GaborSystem) -> np.ndarray:
-    """Pseudo-inverse of the analysis matrix (least-squares synthesis)."""
-    pinv = np.linalg.pinv(atom_matrix(sys))
-    pinv.setflags(write=False)
-    return pinv
+    """Least-squares synthesis ``M^H / f``, the pseudo-inverse of the analysis matrix M.
+
+    ``make_gabor_system`` keeps the frame operator ``M^H M`` the diagonal f,
+    so ``diag(1/f) M^H`` is M's pseudo-inverse exactly. The conjugated
+    ``frame_atoms``, divided by f on their samples, are scattered into a
+    C-ordered n x cells array; no factorization runs.
+    """
+    w, frames = sys.window, sys.frames
+    support, atoms = frame_atoms(sys)
+    peak = np.max(np.abs(w))
+    # f / peak on each window sample; the atoms are divided by the peak first
+    # so that no factor of f leaves the floating-point range
+    f_over_peak = (sys.bins * peak) * _square_fold(w, sys.hop)[np.arange(w.size) % sys.hop]
+    synth = np.zeros((sys.signal_len, frames, sys.bins), dtype=complex)
+    synth[support[:, :, None], np.arange(frames)[:, None, None], np.arange(sys.bins)] = (
+        np.conj(atoms) / peak / f_over_peak
+    ).transpose(0, 2, 1)
+    synth = synth.reshape(sys.signal_len, sys.n_cells)
+    synth.setflags(write=False)
+    return synth
 
 
 @lru_cache(maxsize=16)
 def range_projector(sys: GaborSystem) -> np.ndarray:
-    """Orthogonal projector onto the range of the analysis matrix."""
-    proj = atom_matrix(sys) @ synthesis_matrix(sys)
-    proj = 0.5 * (proj + proj.conj().T)
+    """Orthogonal projector ``M S`` onto the range of the analysis matrix M.
+
+    The columns of the synthesis matrix S are analysed frame by frame on
+    the windows, as in :func:`frame_analysis`: bins x len(window) by
+    len(window) x cells per frame in place of one cells x n by n x cells
+    product. Symmetrizing in place makes P exactly Hermitian, which
+    ``phasecut.phase_cost_matrix`` relies on.
+    """
+    support, atoms = frame_atoms(sys)
+    proj = np.matmul(atoms, synthesis_matrix(sys).take(support, axis=0))
+    proj = proj.reshape(sys.n_cells, sys.n_cells)
+    proj += proj.conj().T
+    proj *= 0.5
     proj.setflags(write=False)
     return proj
 

@@ -123,7 +123,9 @@ class TestMakeGaborSystem:
     def test_coverage_fold_matches_roll_sum(self, window, hop, signal_len):
         # the sum of hop-shifted copies of w^2 over the whole signal is the
         # fold of w^2 modulo hop repeated frames times; the check folds the
-        # nonzero samples, which is positive exactly where this fold is
+        # squares over the peak's square, which is positive exactly where
+        # this fold is. bins = signal_len keeps every frame operator
+        # diagonal (row [1, .5, .25] at hop 1 and n = 5 is not at bins = 3)
         frames = signal_len // hop
         wsq = np.zeros(signal_len)
         wsq[: window.size] = window * window
@@ -131,21 +133,49 @@ class TestMakeGaborSystem:
         fold = np.bincount(np.arange(window.size) % hop, weights=window * window, minlength=hop)
         assert np.allclose(np.tile(fold, frames), roll_sum, rtol=1e-15, atol=0.0)
         if np.min(roll_sum) > 0.0:
-            assert make_gabor_system(window, hop, window.size, signal_len).frames == frames
+            assert make_gabor_system(window, hop, signal_len, signal_len).frames == frames
         else:
             with pytest.raises(ValueError, match="uncovered"):
-                make_gabor_system(window, hop, window.size, signal_len)
+                make_gabor_system(window, hop, signal_len, signal_len)
+
+    def test_underflowing_fold_rejected(self):
+        # sample 0's only window sample squares to 1e-400 next to the peak's
+        # 1: the frame operator's diagonal has a zero in floating point
+        with pytest.raises(ValueError, match="underflow"):
+            make_gabor_system(np.array([1e-200, 1.0]), hop=2, bins=2, signal_len=4)
+
+    def test_rule_matches_off_diagonal_frame_operator(self):
+        # every small geometry with bins >= len(w) and a positive window:
+        # make_gabor_system rejects exactly those whose M^H M has an entry
+        # off its diagonal
+        rng = np.random.default_rng(14)
+        seen = {True: 0, False: 0}
+        for width in range(1, 7):
+            for hop in range(1, width + 1):
+                for bins in range(width, 10):
+                    for n in range(hop * -(-width // hop), 19, hop):
+                        w = rng.uniform(0.5, 1.5, width)
+                        M = atom_matrix(GaborSystem(w, hop, bins, n // hop, n))
+                        gram = np.abs(M.conj().T @ M)
+                        off_diagonal = np.max(gram - np.diag(np.diag(gram))) > 1e-9 * np.max(gram)
+                        seen[off_diagonal] += 1
+                        if off_diagonal:
+                            with pytest.raises(ValueError, match="frame operator"):
+                                make_gabor_system(w, hop, bins, n)
+                        else:
+                            make_gabor_system(w, hop, bins, n)
+        assert seen[True] > 100 and seen[False] > 100, seen
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_window_scale_does_not_decide_coverage(self, scale, recwarn):
         # the window's squares overflow to inf or underflow to 0; the fold
-        # counts nonzero samples, so the check neither warns nor rejects, and
-        # the system it passes is exact
+        # is of the squares over the peak's square, so neither the check nor
+        # the closed-form synthesis warns or rejects, and the system is exact
         sys_ = make_gabor_system(scale * hann_window(16), 8, 32, 128)
-        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         rng = np.random.default_rng(0)
         x = rng.standard_normal(128) + 1j * rng.standard_normal(128)
         assert np.linalg.norm(istft(sys_, stft(sys_, x)) - x) <= 1e-12 * np.linalg.norm(x)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_long_signal_with_unit_hop_builds_fast(self):
         # one np.roll per frame would take minutes here; the fold is linear
@@ -297,8 +327,9 @@ class TestConsistencyProjection:
 
 
 # (window, hop, bins, n): frames that wrap with a window no multiple of the
-# hop, bins that divide nothing, and a window as long as the signal
-OFF_BENCHMARK = [(6, 4, 10, 48), (16, 8, 20, 64), (8, 4, 8, 8)]
+# hop, bins that divide nothing (56 % 20 = 16 keeps the frame operator
+# diagonal), and a window as long as the signal
+OFF_BENCHMARK = [(6, 4, 10, 48), (16, 8, 20, 56), (8, 4, 8, 8)]
 
 
 def geometry_system(geometry):
@@ -308,9 +339,12 @@ def geometry_system(geometry):
     return make_gabor_system(hann_window(width), hop=hop, bins=bins, signal_len=n)
 
 
-@pytest.mark.parametrize(
-    "geometry", [None, *OFF_BENCHMARK], ids=["benchmark", "w6h4b10n48", "w16h8b20n64", "w8h4b8n8"]
+GEOMETRIES = pytest.mark.parametrize(
+    "geometry", [None, *OFF_BENCHMARK], ids=["benchmark", "w6h4b10n48", "w16h8b20n56", "w8h4b8n8"]
 )
+
+
+@GEOMETRIES
 class TestFrameAnalysis:
     def test_atoms_hold_every_nonzero_of_atom_matrix(self, geometry):
         sys_ = geometry_system(geometry)
@@ -341,6 +375,30 @@ class TestFrameAnalysis:
         dense = range_projector(sys_) @ flatten_grid(C)
         got = flatten_grid(consistency_projection(sys_, C))
         assert np.linalg.norm(got - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+@GEOMETRIES
+class TestClosedFormSynthesis:
+    def test_round_trip(self, geometry):
+        sys_ = geometry_system(geometry)
+        x = random_signal(np.random.default_rng(15), sys_.signal_len)
+        assert np.linalg.norm(istft(sys_, stft(sys_, x)) - x) <= 1e-13 * np.linalg.norm(x)
+
+    def test_synthesis_inverts_analysis(self, geometry):
+        sys_ = geometry_system(geometry)
+        eye = synthesis_matrix(sys_) @ atom_matrix(sys_)
+        assert np.max(np.abs(eye - np.eye(sys_.signal_len))) <= 1e-12
+
+    def test_matches_pseudo_inverse(self, geometry):
+        # the SVD pseudo-inverse is the reference for both cached operators
+        sys_ = geometry_system(geometry)
+        M = atom_matrix(sys_)
+        pinv = np.linalg.pinv(M)
+        S = synthesis_matrix(sys_)
+        assert S.flags.c_contiguous
+        assert np.max(np.abs(S - pinv)) <= 1e-12 * np.max(np.abs(pinv))
+        P = M @ pinv
+        assert np.max(np.abs(range_projector(sys_) - P)) <= 1e-12 * np.max(np.abs(P))
 
 
 class TestFrameProperties:

@@ -195,7 +195,7 @@ class TestFactorResiduals:
         [
             (8, 4, 8, 32),  # medium_instance's geometry
             (6, 4, 10, 48),  # width not a multiple of hop, bins not dividing n, wrapping frames
-            (16, 8, 20, 64),  # bins not dividing n
+            (16, 8, 20, 56),  # bins not dividing n
             (8, 4, 8, 8),  # a window as long as the signal
         ],
     )
@@ -311,7 +311,7 @@ class TestLevenbergMarquardt:
         "width, hop, bins, signal_len",
         [
             (6, 4, 10, 48),  # width not a multiple of hop, bins not dividing n, wrapping frames
-            (16, 8, 20, 64),  # bins not dividing n
+            (16, 8, 20, 56),  # bins not dividing n
             (8, 4, 8, 8),  # a window as long as the signal
         ],
     )
