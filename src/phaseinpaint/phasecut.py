@@ -9,18 +9,23 @@ observed are condensed into a single aggregate coordinate carrying their
 fixed relative phases; ``phase_cost_matrix`` builds the cost in these d
 reduced coordinates straight from P, and ``pci_solve`` takes only that one.
 
-The solver writes the reduced U as V V^H with V a d x 4 factor of unit-norm
-rows, so U is PSD with unit diagonal by construction. It starts from one
-inverse-iteration step on the cost, the spectral initialization of
-Candes, Li & Soltanolkotabi (2015): on realizable data the cost's lowest
-eigenvalue sits at round-off along the true phases, and a single shifted
-solve finds that direction, which a descent from noise reaches only
-after hundreds of iterations on wide holes. From there it runs a
-Riemannian gradient method on this product of spheres (Journee, Bach,
-Absil & Sepulchre 2010): the gradient is projected row by row onto the tangent
-space and scaled by the diagonal of the cost (a Jacobi preconditioner), a
-step is retracted by renormalizing the rows, and Barzilai-Borwein step
-sizes pass a nonmonotone Armijo test. A rejected step backtracks to the
+The solver writes the reduced U as V V^H with V a d x r factor of unit-norm
+rows (r is 1 or 4), so U is PSD with unit diagonal by construction. It
+starts from one inverse-iteration step on the cost, the spectral
+initialization of Candes, Li & Soltanolkotabi (2015): on realizable data
+the cost's lowest eigenvalue sits at round-off along the true phases, and
+a single shifted solve finds that direction, which a descent from noise
+reaches only after hundreds of iterations on wide holes. The relaxation is
+exact when its optimum has rank one, so when the unit-modulus projection
+of that direction already meets the objective floor, it is returned as a
+d x 1 factor after no iteration. It does on nearly every random mask up
+to ratio 0.6 and on about half of the width-9 holes, and on none at ratios
+0.8 and 0.9. Otherwise the solver runs a Riemannian gradient method on this
+product of spheres (Journee, Bach, Absil & Sepulchre 2010): the gradient
+is projected row by row onto the tangent space and scaled by the diagonal
+of the cost (a Jacobi preconditioner), a step is retracted by
+renormalizing the rows, and Barzilai-Borwein step sizes pass a
+nonmonotone Armijo test. A rejected step backtracks to the
 minimizer of the quadratic that matches the test's reference value and the
 slope at 0 and the rejected objective, kept within [0.1, 0.5] of the step.
 An evaluation costs one d x d by d x 4 product; the row products, inner
@@ -180,16 +185,18 @@ def _evaluate(G: np.ndarray, D: np.ndarray, V: np.ndarray):
     return 0.5 * float(radial.sum()), g.view(complex), (g / D).view(complex)
 
 
-def _inverse_iteration_start(cost: np.ndarray, scale: float) -> np.ndarray:
-    """Starting factor: one inverse-iteration step on the cost, plus weak noise.
+def _inverse_iteration_start(cost: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """One inverse-iteration step on the cost: its unit-modulus column and the draws.
 
     Draws the fixed-seed random d x 4 factor R, solves (cost + sigma I) x =
-    R[:, 0] and puts the entrywise unit-modulus projection of x (zero
-    entries become 1) in column 0: x leans on the cost's lowest eigenvector,
-    which on realizable data is the true phase vector. The other columns
-    are scaled by ``_NOISE_WEIGHT`` so the rank-4 descent can still leave
-    the rank-one point. sigma = d eps ||cost||_F only keeps the matrix
-    nonsingular, since a zero-magnitude free cell gives cost a zero row.
+    R[:, 0] and returns u, the entrywise unit-modulus projection of x (zero
+    entries become 1), with R: x leans on the cost's lowest eigenvector,
+    which on realizable data is the true phase vector. ``pci_solve`` returns
+    u as a d x 1 factor when its objective is already at the floor, and
+    otherwise puts it in column 0 of R, whose other columns it scales by
+    ``_NOISE_WEIGHT`` so the rank-4 descent can still leave the rank-one
+    point. sigma = d eps ||cost||_F only keeps the matrix nonsingular, since
+    a zero-magnitude free cell gives cost a zero row.
     """
     d = cost.shape[0]
     rng = np.random.default_rng(_INIT_SEED)
@@ -198,9 +205,7 @@ def _inverse_iteration_start(cost: np.ndarray, scale: float) -> np.ndarray:
     shifted.flat[:: d + 1] += d * np.finfo(float).eps * scale
     x = np.linalg.solve(shifted, R[:, 0])
     mags = np.abs(x)
-    R[:, 0] = np.where(mags > 0.0, x / np.where(mags > 0.0, mags, 1.0), 1.0)
-    R[:, 1:] *= _NOISE_WEIGHT
-    return _retract(R)
+    return np.where(mags > 0.0, x / np.where(mags > 0.0, mags, 1.0), 1.0), R
 
 
 def pci_solve(
@@ -213,11 +218,16 @@ def pci_solve(
     to unit Frobenius norm.
     Starts from ``_inverse_iteration_start``: one dense solve with the cost
     and a fixed-seed random right-hand side, so solves are bit-deterministic.
+    If the start's unit-modulus column u meets the objective floor, 1e-15 d
+    on G, it is returned as the d x 1 factor with ``sweeps_run`` 0: a rank-one
+    U at the floor of the PSD cost is a global optimum. Otherwise the
+    descent runs on the rank-4 start.
     The search point may rise within the nonmonotone Armijo window; the
     incumbent (the lowest objective so far) is what ``objective_trace``
     records and what is returned, so the trace is non-increasing.
     ``converged`` means the tangent gradient fell to ``_GRAD_TOL`` or the
-    objective reached its floor within ``max_sweeps`` iterations.
+    objective reached its floor within ``max_sweeps`` iterations, or at the
+    start.
     """
     if cfg.max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
@@ -229,11 +239,18 @@ def pci_solve(
     scale = float(np.linalg.norm(cost))
     if scale == 0.0:
         return PhaseMatrix(factor=np.ones((d, 1), dtype=complex), reduction=red, converged=True)
-    V = _inverse_iteration_start(cost, scale)  # before G, so its copies never coexist
+    floor = 1e-15 * d
+    u, R = _inverse_iteration_start(cost, scale)  # before G, so its copies never coexist
+    objective = float(np.vdot(u, cost @ u).real)
+    if objective <= floor * scale:
+        trace = np.array([objective])
+        return PhaseMatrix(u[:, None], red, objective=objective, objective_trace=trace)
+    R[:, 0] = u
+    R[:, 1:] *= _NOISE_WEIGHT
+    V = _retract(R)
     G = cost / scale
     diag = G.diagonal().real
     D = np.maximum(diag, _DIAG_FLOOR * diag.max())[:, None]
-    floor = 1e-15 * d
 
     f, g, p = _evaluate(G, D, V)
     best_V, best_f = V, f

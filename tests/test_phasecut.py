@@ -134,6 +134,12 @@ def wide_hole_instance(seed):
     return x, observe(benchmark_system(), x, hole_mask(32, 16, 0.3, width=9, seed=seed))
 
 
+def descent_instance(seed):
+    """Signal and observations at ratio 0.8, where pci's start misses the floor."""
+    x = benchmark_signal(seed=seed)
+    return x, observe(benchmark_system(), x, random_mask(32, 16, 0.8, seed=seed))
+
+
 @pytest.fixture(scope="module")
 def benchmark_instance():
     sys_ = benchmark_system()
@@ -342,13 +348,11 @@ class TestPciSolve:
             pci_solve(phase_cost_matrix(obs), obs, PciConfig(max_sweeps=max_sweeps))
 
     def test_objective_non_increasing(self):
-        sys_ = benchmark_system()
-        rng = np.random.default_rng(3)
-        for seed in range(3):
-            x = benchmark_signal(seed=seed)
-            mask = random_mask(32, 16, float(rng.uniform(0.2, 0.7)), seed=seed)
-            obs = observe(sys_, x, mask)
+        # instances whose start misses the objective floor, so the descent runs
+        for seed in range(1234, 1237):
+            _, obs = descent_instance(seed)
             U = pci_solve(phase_cost_matrix(obs), obs, PciConfig(max_sweeps=60))
+            assert U.factor.shape == (U.reduction.dim, 4) and U.sweeps_run > 0
             diffs = np.diff(U.objective_trace)
             assert np.all(diffs <= 1e-10 * max(1.0, abs(U.objective_trace[0])))
 
@@ -377,10 +381,25 @@ class TestPciSolve:
         x_hat = pci_signal(obs, extract_phases(U))
         assert error_db(x, x_hat).e_db <= -50.0
 
-    def test_bit_deterministic(self, benchmark_instance):
+    def test_start_at_floor_returns_its_column(self, benchmark_instance, monkeypatch):
+        # the start's rank-one point already meets the objective floor, which
+        # is a global optimum of the relaxation: no descent runs
         _, obs = benchmark_instance
         cost = phase_cost_matrix(obs)
+        monkeypatch.setattr(phasecut, "_evaluate", None)
+        U = pci_solve(cost, obs)
+        scale = np.linalg.norm(cost)
+        u, _ = phasecut._inverse_iteration_start(cost, scale)
+        assert np.array_equal(U.factor, u[:, None])
+        assert U.sweeps_run == 0 and U.converged
+        assert U.objective <= 1e-15 * U.reduction.dim * scale
+        assert np.array_equal(U.objective_trace, [U.objective])
+
+    def test_bit_deterministic(self):
+        _, obs = wide_hole_instance(1930)  # its start misses the floor
+        cost = phase_cost_matrix(obs)
         first, second = pci_solve(cost, obs), pci_solve(cost, obs)
+        assert first.factor.shape == (first.reduction.dim, 4) and first.sweeps_run > 0
         assert np.array_equal(first.factor, second.factor)
         assert first.sweeps_run == second.sweeps_run
 
