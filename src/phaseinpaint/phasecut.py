@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -56,7 +57,10 @@ _ZERO_MAG_EPS = 1e-12  # masked cells below this share of the largest magnitude 
 
 @dataclass(frozen=True)
 class PciConfig:
-    max_sweeps: int = 5000  # iteration budget of the descent
+    # a fixed solver constant, readable but not settable; pci_solve keeps its
+    # cfg parameter because perfbench/tracer.py's _pci_info binds it and reads
+    # max_sweeps to tell a solve that ran out of budget
+    max_sweeps: ClassVar[int] = 5000  # iteration budget of the descent
 
 
 @dataclass(frozen=True)
@@ -214,8 +218,7 @@ def pci_solve(
     """Minimize tr(U G) over the reduced Gram matrices U = V V^H with unit diagonal.
 
     ``cost`` is the reduced d x d cost of ``phase_cost_matrix(obs)`` (another
-    shape raises ``ValueError``, as does ``max_sweeps < 1``); G is it scaled
-    to unit Frobenius norm.
+    shape raises ``ValueError``); G is it scaled to unit Frobenius norm.
     Starts from ``_inverse_iteration_start``: one dense solve with the cost
     and a fixed-seed random right-hand side, so solves are bit-deterministic.
     If the start's unit-modulus column u meets the objective floor, 1e-15 d
@@ -226,11 +229,9 @@ def pci_solve(
     incumbent (the lowest objective so far) is what ``objective_trace``
     records and what is returned, so the trace is non-increasing.
     ``converged`` means the tangent gradient fell to ``_GRAD_TOL`` or the
-    objective reached its floor within ``max_sweeps`` iterations, or at the
-    start.
+    objective reached its floor within ``PciConfig.max_sweeps`` (5000)
+    iterations, or at the start.
     """
-    if cfg.max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
     red = reduce_known_block(obs)
     d = red.dim
     cost = np.asarray(cost)

@@ -63,7 +63,7 @@ def add_noise_snr(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     return x + noise
 
 
-def benchmark_signal(seed: int, snr_db: float = 10.0) -> np.ndarray:
+def benchmark_signal(seed: int) -> np.ndarray:
     """Two crossing chirps plus an impulse at sample 64, noise at 10 dB SNR."""
     x = linear_chirp(128, 0.0, 0.8) + linear_chirp(128, 0.8, 0.6) + dirac(128, 64)
-    return add_noise_snr(x, snr_db, seed)
+    return add_noise_snr(x, 10.0, seed)

@@ -27,7 +27,7 @@ from .griffin_lim import GliConfig, gli_run
 from .masks import hole_mask, random_mask
 from .metrics import error_db
 from .observe import Observations, observe, rpi_fill
-from .phasecut import PciConfig, extract_phases, pci_signal, pci_solve, phase_cost_matrix
+from .phasecut import extract_phases, pci_signal, pci_solve, phase_cost_matrix
 from .phaselift import extract_signal, pli_solve
 from .signals import benchmark_signal
 
@@ -36,7 +36,8 @@ CSV_HEADER = "sweep_param,method,trial,e_db,seconds,converged,seed"
 
 DEFAULT_RATIOS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_WIDTHS = (1, 3, 5, 7, 9)
-_BLOCKS = (("gli", GliConfig), ("pci", PciConfig))
+HOLE_RATIO = 0.3  # missing ratio of every hole-width sweep point
+_BLOCKS = (("gli", GliConfig),)
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class ExperimentConfig:
     sweep: str = "ratio"
     ratios: tuple[float, ...] = DEFAULT_RATIOS
     widths: tuple[int, ...] = DEFAULT_WIDTHS
-    fixed_ratio: float = 0.3
     methods: tuple[str, ...] = METHODS
     n_trials: int = 5
     base_seed: int = 1234
@@ -55,7 +55,6 @@ class ExperimentConfig:
     pli_points: tuple[float, ...] | None = None  # None = run at every point
     pci_points: tuple[float, ...] | None = None
     gli: GliConfig = GliConfig()
-    pci: PciConfig = PciConfig()
 
     def __post_init__(self) -> None:
         if self.sweep not in ("ratio", "hole_width"):
@@ -69,15 +68,14 @@ class ExperimentConfig:
             if not (isinstance(values, (tuple, list)) or values is None and name in optional):
                 kind = "null or a list" if name in optional else "a list"
                 raise ValueError(f"{name} must be {kind}, got {values!r}")
-        for name in ("n_trials", "workers", "gli.n_iter", "pci.max_sweeps"):
+        for name in ("n_trials", "workers", "gli.n_iter"):
             _check_int(name, attrgetter(name)(self), 1)
         _check_int("base_seed", self.base_seed, 0)
         system = benchmark_system()
         for w in self.widths:
             _check_int("hole width", w, 1, min(system.bins, system.frames))
-        for r in (self.fixed_ratio, *self.ratios):
-            _check_real("ratios and fixed_ratio", r, 1.0)
-        _check_real("gli.residual_tol", self.gli.residual_tol, math.inf)
+        for r in self.ratios:
+            _check_real("ratios", r, 1.0)
         if not isinstance(self.record_timing, bool):
             raise ValueError(f"record_timing must be true or false, got {self.record_timing!r}")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -150,7 +148,7 @@ def reconstruct(method: str, obs: Observations, trial_seed: int, cfg: Experiment
         return extract_signal(lifted, obs), lifted.converged
     if method == "pci":
         cost = phase_cost_matrix(obs)
-        U = pci_solve(cost, obs, cfg.pci)
+        U = pci_solve(cost, obs)
         return pci_signal(obs, extract_phases(U)), U.converged
     raise ValueError(f"unknown method {method!r}")
 
@@ -173,9 +171,7 @@ def _run_point_trial(args) -> list[ResultRow]:
     if cfg.sweep == "ratio":
         mask = random_mask(system.bins, system.frames, param, seed=trial_seed)
     else:
-        mask = hole_mask(
-            system.bins, system.frames, cfg.fixed_ratio, width=int(param), seed=trial_seed
-        )
+        mask = hole_mask(system.bins, system.frames, HOLE_RATIO, width=int(param), seed=trial_seed)
     obs = observe(system, x, mask)
     rows = []
     for method in _methods_at_point(cfg, param):
@@ -200,8 +196,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     points = cfg.ratios if cfg.sweep == "ratio" else cfg.widths
     tasks = [(cfg, float(p), trial) for p in points for trial in range(cfg.n_trials)]
     rows: list[ResultRow] = []
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    n = min(cfg.workers, len(tasks))  # the pool forks all its workers at the first submit
+    if n > 1:
+        with ProcessPoolExecutor(max_workers=n) as pool:
             for chunk in pool.map(_run_point_trial, tasks):
                 rows.extend(chunk)
     else:
@@ -217,7 +214,7 @@ def run_ratio_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def run_hole_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Error vs. hole width at a fixed missing ratio."""
+    """Error vs. hole width at missing ratio ``HOLE_RATIO``."""
     return run_sweep(dataclasses.replace(cfg, sweep="hole_width"))
 
 

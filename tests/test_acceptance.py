@@ -204,16 +204,19 @@ def test_criterion_08_small_instance_oracle(monkeypatch):
     )
 
 
-def test_criterion_09_bcd_contract():
+def test_criterion_09_bcd_contract(monkeypatch):
+    # the ten ratio-0.2 to 0.6 solves stop at their start; the ratio-0.8
+    # ones run the descent for the whole 80-iteration budget
+    monkeypatch.setattr(PciConfig, "max_sweeps", 80)
     sys_ = benchmark_system()
     ok = True
     worst_jump = -np.inf
     worst_eig = 0.0
-    for seed in range(10):
-        ratio = (0.2, 0.3, 0.4, 0.5, 0.6)[seed % 5]
-        x = benchmark_signal(seed=100 + seed)
-        obs = observe(sys_, x, random_mask(32, 16, ratio, seed=100 + seed))
-        U = pci_solve(phase_cost_matrix(obs), obs, PciConfig(max_sweeps=80))
+    solves = [((0.2, 0.3, 0.4, 0.5, 0.6)[k % 5], 100 + k) for k in range(10)]
+    for ratio, seed in solves + [(0.8, seed) for seed in (100, 101, 102)]:
+        x = benchmark_signal(seed=seed)
+        obs = observe(sys_, x, random_mask(32, 16, ratio, seed=seed))
+        U = pci_solve(phase_cost_matrix(obs), obs)
         trace = U.objective_trace
         if trace.size >= 2:
             worst_jump = max(worst_jump, float(np.max(np.diff(trace))))
@@ -222,7 +225,7 @@ def test_criterion_09_bcd_contract():
         min_eig = float(np.linalg.eigvalsh(U.values)[0])
         worst_eig = min(worst_eig, min_eig / norm)
         ok &= min_eig >= -1e-6 * norm
-    ok &= worst_jump <= 1e-10
+    ok &= bool(np.isfinite(worst_jump)) and worst_jump <= 1e-10
     _verdict(
         9,
         "coordinate-descent contract",

@@ -21,10 +21,9 @@ from phaseinpaint.gabor import benchmark_system, hann_window, make_gabor_system
 from phaseinpaint.griffin_lim import GliConfig
 from phaseinpaint.masks import random_mask
 from phaseinpaint.observe import Observations, load_observations, observe, save_observations
-from phaseinpaint.phasecut import PciConfig
 from phaseinpaint.sweeps import METHODS, ExperimentConfig, config_from_dict
 
-BLOCKS = {"gli": GliConfig, "pci": PciConfig}
+BLOCKS = {"gli": GliConfig}
 
 
 def _names(cls):
@@ -57,7 +56,7 @@ def _block(cls):
 
 @st.composite
 def config_dicts(draw):
-    keys = draw(st.lists(st.sampled_from(_names(ExperimentConfig) + ["bogus", "pli"]), unique=True, max_size=5))
+    keys = draw(st.lists(st.sampled_from(_names(ExperimentConfig) + ["bogus", "pli", "pci"]), unique=True, max_size=5))
     data = {}
     for key in keys:
         as_block = key in BLOCKS and draw(st.booleans())

@@ -51,7 +51,7 @@ def test_pli_and_pci_do_not_depend_on_scale(name):
 
 
 def test_gli_tolerance_is_absolute():
-    # residual_tol bounds the change of ||y - z|| in the magnitudes' units:
+    # gli's tolerance bounds the change of ||y - z|| in the magnitudes' units:
     # at 2^-60 every change is far below 1e-12, so gli stops at once and
     # says it converged, without having recovered anything
     x = benchmark_signal(seed=1234) * 2.0**-60

@@ -94,18 +94,18 @@ class TestAddNoise:
             add_noise_snr(np.zeros(8), 10.0, seed=0)
 
 
+def components():
+    """The benchmark signal before its noise: two chirps and an impulse."""
+    return linear_chirp(128, 0.0, 0.8) + linear_chirp(128, 0.8, 0.6) + dirac(128, 64)
+
+
 class TestBenchmarkSignal:
     def test_length(self):
         assert len(benchmark_signal(seed=0)) == 128
 
     def test_noise_free_signal_is_component_sum(self):
-        clean = benchmark_signal(seed=0, snr_db=math.inf)
-        expected = (
-            linear_chirp(128, 0.0, 0.8)
-            + linear_chirp(128, 0.8, 0.6)
-            + dirac(128, 64)
-        )
-        assert np.array_equal(clean, expected)
+        # the recipe: the component sum with noise at exactly 10 dB SNR
+        assert np.array_equal(benchmark_signal(seed=0), add_noise_snr(components(), 10.0, seed=0))
 
     def test_deterministic(self):
         assert np.array_equal(benchmark_signal(seed=9), benchmark_signal(seed=9))
@@ -113,7 +113,7 @@ class TestBenchmarkSignal:
     def test_chirp_ridges_dominate_spectrum(self):
         # energy along the two predicted ridges sits well above the median bin
         sys_ = benchmark_system()
-        clean = benchmark_signal(seed=0, snr_db=math.inf)
+        clean = components()
         power = np.abs(stft(sys_, clean.astype(complex))) ** 2
         ridge_power = []
         for t in range(1, sys_.frames - 1):

@@ -9,11 +9,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from phaseinpaint import sweeps
 from phaseinpaint.cli import main
 from phaseinpaint.observe import Observations, observe, save_observations
 from phaseinpaint.gabor import benchmark_system, stft
 from phaseinpaint.masks import random_mask
 from phaseinpaint.metrics import error_db
+from phaseinpaint.phasecut import PciConfig
 from phaseinpaint.phaselift import PliConfig, pli_solve
 from phaseinpaint.signals import benchmark_signal
 from phaseinpaint.sweeps import (
@@ -80,8 +82,6 @@ class TestConfig:
         # nested blocks must be the config classes, not their JSON objects
         with pytest.raises(ValueError, match="gli must be a GliConfig"):
             ExperimentConfig(gli={"n_iter": 5})
-        with pytest.raises(ValueError, match="pci must be a PciConfig"):
-            dataclasses.replace(ExperimentConfig(), pci=None)
 
     @pytest.mark.parametrize(
         "case, field",
@@ -99,23 +99,48 @@ class TestConfig:
             config_from_dict(case)
 
     def test_pli_constants_not_settable(self):
-        # the warm-up schedule, step caps and tolerance are solver constants
+        # pli's warm-up schedule, step caps and tolerance and pci's iteration
+        # budget are solver constants
         assert dataclasses.fields(PliConfig) == ()
         with pytest.raises(TypeError):
             PliConfig(feas_tol=1e-8)
         with pytest.raises(ValueError, match=r"unknown config keys: \['pli'\]"):
             config_from_dict({"pli": {"penalty_schedule": [1.0]}})
+        assert dataclasses.fields(PciConfig) == ()
+        with pytest.raises(TypeError):
+            PciConfig(max_sweeps=10)
+        with pytest.raises(ValueError, match=r"unknown config keys: \['pci'\]"):
+            config_from_dict({"pci": {"max_sweeps": 10}})
 
     def test_pli_block_is_unknown_key(self, tmp_path, capsys):
-        # PliConfig has no settable field, so a sweep config has no pli block
-        block = {"pli": {"constraint_mode": "anchored"}}
-        with pytest.raises(ValueError, match=r"unknown config keys: \['pli'\]"):
-            config_from_dict(block)
+        # PliConfig and PciConfig have no settable field, so a sweep config
+        # has no pli or pci block
+        for key, block in (("pli", {"constraint_mode": "anchored"}), ("pci", {"max_sweeps": 5000})):
+            with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
+                config_from_dict({key: block})
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps({key: block}))
+            code = main(["sweep", "--kind", "ratio", "--config", str(path), "--out", str(tmp_path)])
+            assert code == 2
+            assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"fixed_ratio": 0.3}, r"unknown config keys: \['fixed_ratio'\]"),
+            ({"gli": {"residual_tol": 1e-12}}, r"unknown keys in 'gli' block: \['residual_tol'\]"),
+        ],
+        ids=["fixed_ratio", "gli_residual_tol"],
+    )
+    def test_removed_setting_is_unknown_key(self, tmp_path, capsys, data, message):
+        # the hole sweep's ratio and gli's tolerance are constants now
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(data)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(block))
+        path.write_text(json.dumps(data))
         code = main(["sweep", "--kind", "ratio", "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
-        assert "unknown config keys" in capsys.readouterr().err
+        assert "unknown" in capsys.readouterr().err
 
 
 class TestRatioSweep:
@@ -182,6 +207,36 @@ class TestRatioSweep:
         assert [(r.sweep_param, r.method, r.trial, r.e_db) for r in serial] == [
             (r.sweep_param, r.method, r.trial, r.e_db) for r in parallel
         ]
+
+    @pytest.mark.parametrize(
+        "workers, ratios, pool_size",
+        [(500, (0.1, 0.2), 2), (3, (0.1,), None), (3, (), None)],
+        ids=["more_workers_than_tasks", "one_task", "no_task"],
+    )
+    def test_worker_pool_no_larger_than_tasks(self, monkeypatch, workers, ratios, pool_size):
+        # the pool forks all of its workers at the first submit, so it gets
+        # one per task at most, and none for fewer than two tasks
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", SerialPool)
+        cfg = fast_config(ratios=ratios, n_trials=1, workers=workers)
+        rows = run_ratio_sweep(cfg)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert rows == run_ratio_sweep(dataclasses.replace(cfg, workers=1))
+        assert len(rows) == 2 * len(ratios)
 
 
 def test_inconsistent_magnitudes_end_finite_with_honest_status():
@@ -366,24 +421,20 @@ class TestCli:
             {"gli": {"n_iter": 0}},
             {"gli": {"n_iter": "ten"}},
             {"pli": {"constraint_mode": "bogus"}},
-            {"gli": {"residual_tol": "x"}},
             {"pli": {"max_inner": 0}},
             {"pli": {"max_outer": 0}},
             {"pli": {"penalty_schedule": []}},
-            {"pci": {"max_sweeps": -1}},
             {"pli": {"feas_tol": "x"}},
             {"pli": {"penalty_schedule": ["a"]}},
             {"pli": {"feas_tol": -1}},
             {"pli": {"penalty_schedule": [-1.0]}},
             {"pli": {"penalty_schedule": [1.0, float("nan")]}},
-            {"gli": {"residual_tol": float("nan")}},
             {"base_seed": "x"},
             {"base_seed": -5},
             {"base_seed": 1.5},
             {"n_trials": 1.5},
             {"workers": 1.5},
             {"gli": {"n_iter": 2.5}},
-            {"pci": {"max_sweeps": 2.5}},
             {"widths": [20]},
             {"widths": [2.5]},
             {"record_timing": "no"},
@@ -400,24 +451,20 @@ class TestCli:
             "n_iter_zero",
             "n_iter_text",
             "unknown_mode",
-            "residual_tol_text",
             "max_inner_zero",
             "max_outer_zero",
             "empty_schedule",
-            "max_sweeps_negative",
             "feas_tol_text",
             "schedule_text",
             "feas_tol_negative",
             "schedule_negative",
             "schedule_nan",
-            "residual_tol_nan",
             "base_seed_text",
             "base_seed_negative",
             "base_seed_fraction",
             "n_trials_fraction",
             "workers_fraction",
             "n_iter_fraction",
-            "max_sweeps_fraction",
             "width_too_large",
             "width_fraction",
             "record_timing_text",
