@@ -4,18 +4,19 @@ Subcommands:
 
 * ``phase-inpaint sweep --kind ratio|hole --config cfg.json --out dir``
   runs one benchmark sweep and writes results.csv / summary.csv /
-  curves.csv / config.json into the output directory.
+  curves.csv / config.json into the output directory. Every sweep setting,
+  ``workers`` and ``methods`` included, comes from the config file.
 * ``phase-inpaint solve --obs dir --method gli|pli|pci|rpi`` reconstructs a
   single serialized observation set and writes the signal as CSV.
 
-Exit code 0 on completion, 2 on configuration errors, including an ``--out``
-that cannot be written, which is checked before any solve starts.
+Exit code 0 on completion, 2 on configuration errors, including a config
+file that cannot be read and an ``--out`` that cannot be written, which are
+checked before any solve starts.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -44,8 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--kind", choices=("ratio", "hole"), required=True)
     sweep.add_argument("--config", type=Path, default=None, help="JSON config file")
     sweep.add_argument("--out", type=Path, required=True, help="output directory")
-    sweep.add_argument("--workers", type=int, default=None)
-    sweep.add_argument("--methods", type=str, default=None, help="comma-separated subset")
 
     solve = sub.add_parser("solve", help="reconstruct one serialized observation set")
     solve.add_argument("--obs", type=Path, required=True, help="observation directory")
@@ -60,8 +59,8 @@ def _load_config(args) -> ExperimentConfig:
     if args.config is not None:
         try:
             data = json.loads(Path(args.config).read_text())
-        except FileNotFoundError:
-            raise ValueError(f"config file not found: {args.config}")
+        except OSError as exc:
+            raise ValueError(f"cannot read config file: {exc}")
         except json.JSONDecodeError as exc:
             raise ValueError(f"config file is not valid JSON: {exc}")
         if not isinstance(data, dict):
@@ -69,12 +68,7 @@ def _load_config(args) -> ExperimentConfig:
     sweep = "ratio" if args.kind == "ratio" else "hole_width"
     if data.get("sweep", sweep) != sweep:
         raise ValueError(f"config sweep {data['sweep']!r} contradicts --kind {args.kind}")
-    overrides: dict = {"sweep": sweep}
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.methods is not None:
-        overrides["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    return dataclasses.replace(config_from_dict(data), **overrides)
+    return config_from_dict({**data, "sweep": sweep})
 
 
 def _cmd_sweep(args) -> int:
@@ -104,7 +98,7 @@ def _cmd_solve(args) -> int:
     if out is not None and (out.is_dir() or not out.parent.is_dir()):
         print(f"config error: --out {out} is not a file in an existing directory", file=sys.stderr)
         return CONFIG_ERROR
-    x_hat, converged = reconstruct(args.method, obs, args.seed, ExperimentConfig())
+    x_hat, converged = reconstruct(args.method, obs, args.seed)
     lines = [f"{v.real:.17g},{v.imag:.17g}" for v in x_hat]
     body = "re,im\n" + "\n".join(lines) + "\n"
     if out is not None:

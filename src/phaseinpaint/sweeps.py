@@ -16,14 +16,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from numbers import Integral, Real
-from operator import attrgetter
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
 from .gabor import benchmark_system, istft
-from .griffin_lim import GliConfig, gli_run
+from .griffin_lim import gli_run
 from .masks import hole_mask, random_mask
 from .metrics import error_db
 from .observe import Observations, observe, rpi_fill
@@ -37,7 +36,6 @@ CSV_HEADER = "sweep_param,method,trial,e_db,seconds,converged,seed"
 DEFAULT_RATIOS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_WIDTHS = (1, 3, 5, 7, 9)
 HOLE_RATIO = 0.3  # missing ratio of every hole-width sweep point
-_BLOCKS = (("gli", GliConfig),)
 
 
 @dataclass(frozen=True)
@@ -54,22 +52,18 @@ class ExperimentConfig:
     record_timing: bool = True
     pli_points: tuple[float, ...] | None = None  # None = run at every point
     pci_points: tuple[float, ...] | None = None
-    gli: GliConfig = GliConfig()
 
     def __post_init__(self) -> None:
         if self.sweep not in ("ratio", "hole_width"):
             raise ValueError(f"sweep must be 'ratio' or 'hole_width', got {self.sweep!r}")
-        for name, cls in _BLOCKS:
-            if not isinstance(getattr(self, name), cls):
-                raise ValueError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         optional = ("pli_points", "pci_points")
         for name in ("ratios", "widths", "methods", *optional):
             values = getattr(self, name)
             if not (isinstance(values, (tuple, list)) or values is None and name in optional):
                 kind = "null or a list" if name in optional else "a list"
                 raise ValueError(f"{name} must be {kind}, got {values!r}")
-        for name in ("n_trials", "workers", "gli.n_iter"):
-            _check_int(name, attrgetter(name)(self), 1)
+        for name in ("n_trials", "workers"):
+            _check_int(name, getattr(self, name), 1)
         _check_int("base_seed", self.base_seed, 0)
         system = benchmark_system()
         for w in self.widths:
@@ -118,28 +112,17 @@ class ResultRow:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a config from parsed JSON, rejecting unknown keys."""
-    kwargs = _fields_of(ExperimentConfig, data, "unknown config keys")
-    for key, cls in _BLOCKS:
-        if key in kwargs:
-            if not isinstance(kwargs[key], dict):
-                raise ValueError(f"config block {key!r} must be an object")
-            kwargs[key] = cls(**_fields_of(cls, kwargs[key], f"unknown keys in {key!r} block"))
-    return ExperimentConfig(**kwargs)
-
-
-def _fields_of(cls, data: dict, message: str) -> dict:
-    """``data`` with JSON arrays as tuples; a key that is no field of ``cls`` is an error."""
-    bad = set(data) - {f.name for f in dataclasses.fields(cls)}
+    """Build a config from parsed JSON (arrays become tuples), rejecting unknown keys."""
+    bad = set(data) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if bad:
-        raise ValueError(f"{message}: {sorted(bad)}")
-    return {key: tuple(v) if isinstance(v, list) else v for key, v in data.items()}
+        raise ValueError(f"unknown config keys: {sorted(bad)}")
+    return ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
-def reconstruct(method: str, obs: Observations, trial_seed: int, cfg: ExperimentConfig):
+def reconstruct(method: str, obs: Observations, trial_seed: int):
     """Run one method on one observation set; returns (x_hat, converged)."""
     if method == "gli":
-        result = gli_run(obs, cfg.gli, seed=trial_seed)
+        result = gli_run(obs, seed=trial_seed)
         return result.x_hat, result.converged
     if method == "rpi":
         return istft(obs.system, rpi_fill(obs, seed=trial_seed)), True
@@ -176,7 +159,7 @@ def _run_point_trial(args) -> list[ResultRow]:
     rows = []
     for method in _methods_at_point(cfg, param):
         start = perf_counter()
-        x_hat, converged = reconstruct(method, obs, trial_seed, cfg)
+        x_hat, converged = reconstruct(method, obs, trial_seed)
         seconds = perf_counter() - start if cfg.record_timing else 0.0
         rows.append(
             ResultRow(

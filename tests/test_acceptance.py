@@ -240,7 +240,6 @@ def test_criterion_10_sweep_determinism(tmp_path):
         ratios=[0.0, 0.2, 0.4],
         n_trials=3,
         record_timing=False,
-        gli={"n_iter": 200},
     )
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

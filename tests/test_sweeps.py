@@ -33,7 +33,6 @@ FAST = dict(
     methods=("gli", "rpi"),
     n_trials=2,
     record_timing=False,
-    gli={"n_iter": 50},
 )
 
 
@@ -57,14 +56,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_dict({"output_dir": "results"})
 
-    def test_unknown_nested_key_rejected(self):
-        with pytest.raises(ValueError, match="gli"):
-            config_from_dict({"gli": {"iterations": 10}})
-        # the start seed is the trial seed, so a configured one is rejected,
-        # not silently overwritten
-        with pytest.raises(ValueError, match="init_seed"):
-            config_from_dict({"gli": {"init_seed": 5}})
-
     def test_bad_method_rejected(self):
         with pytest.raises(ValueError, match="methods"):
             config_from_dict({"methods": ["gli", "magic"]})
@@ -79,9 +70,6 @@ class TestConfig:
             ExperimentConfig(n_trials=0)
         with pytest.raises(ValueError, match="workers"):
             dataclasses.replace(ExperimentConfig(), workers=0)
-        # nested blocks must be the config classes, not their JSON objects
-        with pytest.raises(ValueError, match="gli must be a GliConfig"):
-            ExperimentConfig(gli={"n_iter": 5})
 
     @pytest.mark.parametrize(
         "case, field",
@@ -113,9 +101,14 @@ class TestConfig:
             config_from_dict({"pci": {"max_sweeps": 10}})
 
     def test_pli_block_is_unknown_key(self, tmp_path, capsys):
-        # PliConfig and PciConfig have no settable field, so a sweep config
-        # has no pli or pci block
-        for key, block in (("pli", {"constraint_mode": "anchored"}), ("pci", {"max_sweeps": 5000})):
+        # every solver runs at a fixed budget, so a sweep config has no
+        # solver block: gli's n_iter, pli's and pci's settings are no keys
+        blocks = (
+            ("gli", {"n_iter": 2000}),
+            ("pli", {"constraint_mode": "anchored"}),
+            ("pci", {"max_sweeps": 5000}),
+        )
+        for key, block in blocks:
             with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
                 config_from_dict({key: block})
             path = tmp_path / f"{key}.json"
@@ -128,7 +121,7 @@ class TestConfig:
         "data, message",
         [
             ({"fixed_ratio": 0.3}, r"unknown config keys: \['fixed_ratio'\]"),
-            ({"gli": {"residual_tol": 1e-12}}, r"unknown keys in 'gli' block: \['residual_tol'\]"),
+            ({"gli": {"residual_tol": 1e-12}}, r"unknown config keys: \['gli'\]"),
         ],
         ids=["fixed_ratio", "gli_residual_tol"],
     )
@@ -183,7 +176,6 @@ class TestRatioSweep:
                 pci_points=(0.1,),
                 n_trials=1,
                 record_timing=False,
-                gli={"n_iter": 20},
             )
         )
         rows = run_ratio_sweep(cfg)
@@ -192,13 +184,19 @@ class TestRatioSweep:
         assert pci_params == {0.1}
         assert gli_params == {0.0, 0.1}
 
-    @pytest.mark.parametrize("n_iter, converged", [(3, False), (2000, True)])
-    def test_gli_converged_column(self, n_iter, converged):
+    @pytest.mark.parametrize(
+        "case, converged",
+        [
+            (dict(sweep="ratio", ratios=(0.1,)), True),
+            # a width-7 hole on which gli runs its whole 2000-iteration budget
+            (dict(sweep="hole_width", widths=(7,), base_seed=1236), False),
+        ],
+        ids=["ratio_plateau", "hole_budget"],
+    )
+    def test_gli_converged_column(self, case, converged):
         # gli reports the residual plateau, not a constant True
-        cfg = config_from_dict(
-            dict(methods=("gli",), ratios=(0.1,), n_trials=1, gli={"n_iter": n_iter})
-        )
-        assert [r.converged for r in run_ratio_sweep(cfg)] == [converged]
+        cfg = config_from_dict(dict(methods=("gli",), n_trials=1, **case))
+        assert [r.converged for r in sweeps.run_sweep(cfg)] == [converged]
 
     def test_worker_pool_matches_serial(self):
         cfg = fast_config(ratios=(0.1, 0.2))
@@ -253,7 +251,7 @@ def test_inconsistent_magnitudes_end_finite_with_honest_status():
     obs = Observations(system, coeffs, random_mask(32, 16, 0.5, seed=1234))
     expected = {"gli": True, "pci": True, "rpi": True, "pli": False}
     for method, converged in expected.items():
-        x_hat, status = reconstruct(method, obs, 1234, ExperimentConfig())
+        x_hat, status = reconstruct(method, obs, 1234)
         assert np.all(np.isfinite(x_hat)), method
         assert status is converged, method
         if method != "rpi":
@@ -322,8 +320,7 @@ class TestEmit:
         emit([], tmp_path, cfg)
         stored = json.loads((tmp_path / "config.json").read_text())
         assert stored["n_trials"] == 2
-        assert stored["gli"]["n_iter"] == 50
-        assert "pli" not in stored
+        assert "gli" not in stored and "pli" not in stored
 
     def test_table_text(self, tmp_path):
         rows = [
@@ -389,26 +386,6 @@ class TestCli:
         for name in ("results.csv", "summary.csv", "curves.csv", "config.json"):
             assert (tmp_path / "out" / name).exists()
 
-    def test_methods_override(self, tmp_path):
-        cfg_path = self.write_config(tmp_path)
-        code = main(
-            [
-                "sweep",
-                "--kind",
-                "ratio",
-                "--config",
-                str(cfg_path),
-                "--out",
-                str(tmp_path / "out"),
-                "--methods",
-                "rpi",
-            ]
-        )
-        assert code == 0
-        body = (tmp_path / "out" / "results.csv").read_text()
-        assert ",gli," not in body
-        assert ",rpi," in body
-
     def test_invalid_config_exits_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"methods": ["nope"]}))
@@ -418,8 +395,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "block",
         [
-            {"gli": {"n_iter": 0}},
-            {"gli": {"n_iter": "ten"}},
             {"pli": {"constraint_mode": "bogus"}},
             {"pli": {"max_inner": 0}},
             {"pli": {"max_outer": 0}},
@@ -434,7 +409,6 @@ class TestCli:
             {"base_seed": 1.5},
             {"n_trials": 1.5},
             {"workers": 1.5},
-            {"gli": {"n_iter": 2.5}},
             {"widths": [20]},
             {"widths": [2.5]},
             {"record_timing": "no"},
@@ -448,8 +422,6 @@ class TestCli:
             {"widths": [3, 3]},
         ],
         ids=[
-            "n_iter_zero",
-            "n_iter_text",
             "unknown_mode",
             "max_inner_zero",
             "max_outer_zero",
@@ -464,7 +436,6 @@ class TestCli:
             "base_seed_fraction",
             "n_trials_fraction",
             "workers_fraction",
-            "n_iter_fraction",
             "width_too_large",
             "width_fraction",
             "record_timing_text",
@@ -487,11 +458,18 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
-    def test_missing_config_file_exits_two(self, tmp_path):
-        code = main(
-            ["sweep", "--kind", "ratio", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
-        )
+    @pytest.mark.parametrize("kind", ["missing", "directory", "invalid_json", "array"])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, kind):
+        config = tmp_path / "cfg.json"
+        if kind == "directory":
+            config.mkdir()
+        elif kind != "missing":
+            config.write_text({"invalid_json": "{", "array": "[]"}[kind])
+        out = tmp_path / "out"
+        code = main(["sweep", "--kind", "ratio", "--config", str(config), "--out", str(out)])
         assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_bad_cli_usage_exits_two(self, capsys):
         assert main(["sweep", "--kind", "spiral", "--out", "x"]) == 2
