@@ -100,15 +100,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"unknown config keys: \['pci'\]"):
             config_from_dict({"pci": {"max_sweeps": 10}})
 
+    def test_unknown_nested_key_rejected(self, tmp_path, capsys):
+        # gli runs at its default budget, so the config has no gli block: a
+        # key nested in one (its old n_iter, an unknown key, or the start
+        # seed, which is the trial seed) is rejected with the block
+        for block in ({"iterations": 10}, {"init_seed": 5}, {"n_iter": 2000}):
+            with pytest.raises(ValueError, match=r"unknown config keys: \['gli'\]"):
+                config_from_dict({"gli": block})
+            path = tmp_path / "gli.json"
+            path.write_text(json.dumps({"gli": block}))
+            code = main(["sweep", "--kind", "ratio", "--config", str(path), "--out", str(tmp_path)])
+            assert code == 2
+            assert "unknown config keys: ['gli']" in capsys.readouterr().err
+
     def test_pli_block_is_unknown_key(self, tmp_path, capsys):
-        # every solver runs at a fixed budget, so a sweep config has no
-        # solver block: gli's n_iter, pli's and pci's settings are no keys
-        blocks = (
-            ("gli", {"n_iter": 2000}),
-            ("pli", {"constraint_mode": "anchored"}),
-            ("pci", {"max_sweeps": 5000}),
-        )
-        for key, block in blocks:
+        # PliConfig and PciConfig have no settable field, so a sweep config
+        # has no pli or pci block
+        for key, block in (("pli", {"constraint_mode": "anchored"}), ("pci", {"max_sweeps": 5000})):
             with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
                 config_from_dict({key: block})
             path = tmp_path / f"{key}.json"
