@@ -9,9 +9,11 @@ Subcommands:
 * ``phase-inpaint solve --obs dir --method gli|pli|pci|rpi`` reconstructs a
   single serialized observation set and writes the signal as CSV.
 
-Exit code 0 on completion, 2 on configuration errors, including a config
-file that cannot be read and an ``--out`` that cannot be written, which are
-checked before any solve starts.
+Exit code 0 on completion, 2 on configuration errors: a bad config or
+observation directory, a config file that cannot be read, or an ``--out``
+that cannot be used. Those are checked before any solve starts; an ``--out``
+whose write still fails after the work is done (a full disk, a directory in
+a table's place) also exits 2.
 """
 
 from __future__ import annotations
@@ -83,7 +85,11 @@ def _cmd_sweep(args) -> int:
         print(f"config error: cannot create output directory: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     rows = run_sweep(cfg)
-    paths = emit(rows, args.out, cfg)
+    try:
+        paths = emit(rows, args.out, cfg)
+    except OSError as exc:
+        print(f"config error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return CONFIG_ERROR
     print(f"wrote {paths['results']}")
     return 0
 
@@ -102,7 +108,11 @@ def _cmd_solve(args) -> int:
     lines = [f"{v.real:.17g},{v.imag:.17g}" for v in x_hat]
     body = "re,im\n" + "\n".join(lines) + "\n"
     if out is not None:
-        out.write_text(body)
+        try:
+            out.write_text(body)
+        except OSError as exc:
+            print(f"config error: cannot write {out}: {exc}", file=sys.stderr)
+            return CONFIG_ERROR
         print(f"wrote {out} (converged={converged})")
     else:
         sys.stdout.write(body)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -179,7 +180,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     points = cfg.ratios if cfg.sweep == "ratio" else cfg.widths
     tasks = [(cfg, float(p), trial) for p in points for trial in range(cfg.n_trials)]
     rows: list[ResultRow] = []
-    n = min(cfg.workers, len(tasks))  # the pool forks all its workers at the first submit
+    # the pool forks all its workers at the first submit, so it gets no more
+    # than there are tasks or CPUs
+    n = min(cfg.workers, len(tasks), os.cpu_count() or 1)
     if n > 1:
         with ProcessPoolExecutor(max_workers=n) as pool:
             for chunk in pool.map(_run_point_trial, tasks):

@@ -235,33 +235,34 @@ def test_criterion_09_bcd_contract(monkeypatch):
 
 
 def test_criterion_10_sweep_determinism(tmp_path):
-    cfg = dict(
-        methods=["gli", "rpi"],
-        ratios=[0.0, 0.2, 0.4],
-        n_trials=3,
-        record_timing=False,
-    )
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    outputs = []
-    for run in ("a", "b"):
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "phaseinpaint.cli",
-                "sweep",
-                "--kind",
-                "ratio",
-                "--config",
-                str(cfg_path),
-                "--out",
-                str(tmp_path / run),
-            ],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append((tmp_path / run / "results.csv").read_bytes())
-    ok = outputs[0] == outputs[1] and len(outputs[0]) > 0
-    _verdict(10, "byte-identical reruns", ok, f"{len(outputs[0])} bytes compared")
+    # besides gli and rpi on ratios, the configs run gli on hole masks, pci's
+    # descent (widths 7 and 9) and its exit at the start (ratios 0.1 and 0.6),
+    # and pli's trial that fits (ratio 0.5) and its fallback (width 9)
+    configs = [
+        ("ratio", dict(methods=["gli", "rpi"], ratios=[0.0, 0.2, 0.4], n_trials=3)),
+        (
+            "hole",
+            dict(methods=["gli", "pci", "rpi"], widths=[3, 7, 9], pci_points=[7, 9], n_trials=1),
+        ),
+        ("ratio", dict(methods=["pci"], ratios=[0.1, 0.6])),
+        ("ratio", dict(methods=["pli"], ratios=[0.5], n_trials=1)),
+        ("hole", dict(methods=["pli"], widths=[9], n_trials=1)),
+    ]
+    differing, compared = [], 0
+    for index, (kind, cfg) in enumerate(configs):
+        cfg_path = tmp_path / f"cfg{index}.json"
+        cfg_path.write_text(json.dumps({**cfg, "record_timing": False}))
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{run}{index}"
+            argv = ["sweep", "--kind", kind, "--config", str(cfg_path), "--out", str(out)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "phaseinpaint.cli", *argv], capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out / "results.csv").read_bytes())
+        if outputs[0] != outputs[1] or outputs[0].count(b"\n") < 2:
+            differing.append(index)
+        compared += len(outputs[0])
+    detail = f"{len(configs)} configs, {compared} bytes compared, configs differing: {differing}"
+    _verdict(10, "byte-identical reruns", not differing, detail)

@@ -29,6 +29,7 @@ def _run_python(source: str) -> subprocess.CompletedProcess:
 _SCRIPT = """
 import sys
 import numpy as np
+import phaseinpaint.cli
 from phaseinpaint import observe, random_mask
 from phaseinpaint.gabor import hann_window, make_gabor_system
 from phaseinpaint.phasecut import pci_solve, phase_cost_matrix
@@ -50,8 +51,8 @@ assert loaded == [], f"the solvers loaded {loaded}"
 
 def test_no_method_loads_scipy():
     # numpy and scipy bundle separate OpenBLAS builds whose thread pools
-    # contend, so the package runs on numpy alone: a sweep of all four
-    # methods and direct pli and pci solves load no scipy module
+    # contend, so the package runs on numpy alone: the CLI module, a sweep of
+    # all four methods and direct pli and pci solves load no scipy module
     proc = _run_python(_SCRIPT)
     assert proc.returncode == 0, proc.stderr
 

@@ -2,9 +2,8 @@
 
 import dataclasses
 import json
-import subprocess
-import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ import pytest
 from phaseinpaint import sweeps
 from phaseinpaint.cli import main
 from phaseinpaint.observe import Observations, observe, save_observations
-from phaseinpaint.gabor import benchmark_system, stft
+from phaseinpaint.gabor import benchmark_system, hann_window, make_gabor_system, stft
 from phaseinpaint.masks import random_mask
 from phaseinpaint.metrics import error_db
 from phaseinpaint.phasecut import PciConfig
@@ -40,6 +39,26 @@ def fast_config(**overrides):
     base = dict(FAST)
     base.update(overrides)
     return config_from_dict(base)
+
+
+def _benchmark_obs():
+    return observe(benchmark_system(), benchmark_signal(seed=0), random_mask(32, 16, 0.5, seed=0))
+
+
+def _small_obs():
+    # a 6-sample window at hop 4 over 10 bins and 48 samples: frames wrap,
+    # the window is no multiple of the hop and the bins do not divide the signal
+    system = make_gabor_system(hann_window(6), hop=4, bins=10, signal_len=48)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(48) + 1j * rng.standard_normal(48)
+    return observe(system, x, random_mask(10, 12, 0.5, seed=1))
+
+
+def _all_known_obs():
+    # random coefficients are no signal's analysis, so pli cannot fit them
+    rng = np.random.default_rng(0)
+    coeffs = rng.standard_normal((32, 16)) + 1j * rng.standard_normal((32, 16))
+    return Observations(benchmark_system(), coeffs, np.ones((32, 16), dtype=int))
 
 
 class TestConfig:
@@ -215,13 +234,19 @@ class TestRatioSweep:
         ]
 
     @pytest.mark.parametrize(
-        "workers, ratios, pool_size",
-        [(500, (0.1, 0.2), 2), (3, (0.1,), None), (3, (), None)],
-        ids=["more_workers_than_tasks", "one_task", "no_task"],
+        "workers, ratios, cpus, pool_size",
+        [
+            (500, (0.1, 0.2), 8, 2),
+            (5000, (0.1, 0.2, 0.3), 2, 2),
+            (3, (0.1,), 8, None),
+            (3, (), 8, None),
+        ],
+        ids=["more_workers_than_tasks", "more_tasks_than_cpus", "one_task", "no_task"],
     )
-    def test_worker_pool_no_larger_than_tasks(self, monkeypatch, workers, ratios, pool_size):
+    def test_worker_pool_no_larger_than_tasks(self, monkeypatch, workers, ratios, cpus, pool_size):
         # the pool forks all of its workers at the first submit, so it gets
-        # one per task at most, and none for fewer than two tasks
+        # one per task and per CPU at most, and none for fewer than two tasks
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
         sizes = []
 
         class SerialPool:
@@ -549,16 +574,19 @@ class TestCli:
         assert message in err
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, message",
         [
-            lambda desc: [desc],
-            lambda desc: {**desc, "hop": None},
-            lambda desc: {**desc, "signal_len": desc["signal_len"] + 0.5},
-            lambda desc: {**desc, "bins": float(desc["bins"])},
-            lambda desc: {**desc, "bins": str(desc["bins"])},
-            lambda desc: {**desc, "hop": True},
-            lambda desc: {**desc, "window": {"a": 1}},
-            lambda desc: {**desc, "window": [[1, 2], [3, 4]]},
+            (lambda desc: [desc], "sys.json"),
+            (lambda desc: {**desc, "hop": None}, "sys.json"),
+            (lambda desc: {**desc, "signal_len": desc["signal_len"] + 0.5}, "sys.json"),
+            (lambda desc: {**desc, "bins": float(desc["bins"])}, "sys.json"),
+            (lambda desc: {**desc, "bins": str(desc["bins"])}, "sys.json"),
+            (lambda desc: {**desc, "hop": True}, "sys.json"),
+            (lambda desc: {**desc, "window": {"a": 1}}, "sys.json"),
+            (lambda desc: {**desc, "window": [[1, 2], [3, 4]]}, "sys.json"),
+            # 128 % 20 = 8 is shorter than the 16-sample window, so a frame
+            # that wraps puts two window samples on one bin
+            (lambda desc: {**desc, "bins": 20}, "frame operator"),
         ],
         ids=[
             "list",
@@ -569,9 +597,10 @@ class TestCli:
             "hop_bool",
             "window_object",
             "window_nested",
+            "bins_wrap",
         ],
     )
-    def test_solve_bad_sys_json_exits_two(self, tmp_path, capsys, edit):
+    def test_solve_bad_sys_json_exits_two(self, tmp_path, capsys, edit, message):
         obs = observe(benchmark_system(), benchmark_signal(seed=3), random_mask(32, 16, 0.2, seed=3))
         save_observations(obs, tmp_path / "obs")
         sys_json = tmp_path / "obs" / "sys.json"
@@ -579,7 +608,8 @@ class TestCli:
         out = tmp_path / "recon.csv"
         code = main(["solve", "--obs", str(tmp_path / "obs"), "--method", "gli", "--out", str(out)])
         assert code == 2
-        assert "sys.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "sys.json" in err and message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["gli", "pli", "pci", "rpi"])
@@ -592,6 +622,29 @@ class TestCli:
         values = np.loadtxt(out, delimiter=",", skiprows=1)
         assert values.shape == (128, 2)
         assert np.all(values == 0.0)
+
+    @pytest.mark.parametrize(
+        "make_obs, method, converged",
+        [
+            (_benchmark_obs, "pli", None),
+            (_benchmark_obs, "pci", True),
+            (_small_obs, "pli", True),
+            (_small_obs, "gli", None),
+            (_all_known_obs, "pli", False),
+        ],
+        ids=["ratio_pli", "ratio_pci", "small_pli", "small_gli", "all_known_pli"],
+    )
+    def test_solve_reruns_byte_identical(self, tmp_path, capsys, make_obs, method, converged):
+        save_observations(make_obs(), tmp_path / "obs")
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{run}.csv"
+            argv = ["solve", "--obs", str(tmp_path / "obs"), "--method", method, "--out", str(out)]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+            if converged is not None:
+                assert f"(converged={converged})" in capsys.readouterr().out
+        assert outputs[0] == outputs[1] and outputs[0].startswith(b"re,im\n")
 
     @staticmethod
     def _fail_if_called(*args, **kwargs):
@@ -652,24 +705,23 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "missing").exists()
 
-    def test_module_invocation(self, tmp_path):
-        # exercised through a subprocess to mirror the shipped console script
+    def test_sweep_unwritable_table_exits_two(self, tmp_path, capsys):
+        # the --out directory exists, but results.csv in it is a directory
         cfg_path = self.write_config(tmp_path, ratios=[0.1], n_trials=1)
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "phaseinpaint.cli",
-                "sweep",
-                "--kind",
-                "ratio",
-                "--config",
-                str(cfg_path),
-                "--out",
-                str(tmp_path / "out"),
-            ],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "out" / "results.csv").exists()
+        out = tmp_path / "out"
+        (out / "results.csv").mkdir(parents=True)
+        code = main(["sweep", "--kind", "ratio", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: cannot write")
+
+    def test_solve_failed_write_exits_two(self, tmp_path, capsys, monkeypatch):
+        save_observations(_benchmark_obs(), tmp_path / "obs")
+
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        out = tmp_path / "recon.csv"
+        code = main(["solve", "--obs", str(tmp_path / "obs"), "--method", "rpi", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: cannot write")
